@@ -12,6 +12,10 @@ from typing import Optional, Set
 
 from repro.tilelink.permissions import Perm
 
+# Enum member lookups (``Perm.TRUNK``) cost a descriptor call each on
+# CPython 3.11; the access path compares against these aliases instead.
+_NONE, _BRANCH, _TRUNK = Perm.NONE, Perm.BRANCH, Perm.TRUNK
+
 
 @dataclass
 class DirectoryEntry:
@@ -22,9 +26,9 @@ class DirectoryEntry:
 
     def grant(self, client: int, perm: Perm) -> None:
         """Record a Grant of *perm* to *client*."""
-        if perm is Perm.NONE:
+        if perm is _NONE:
             raise ValueError("cannot grant NONE")
-        if perm is Perm.TRUNK:
+        if perm is _TRUNK:
             if self.sharers - {client}:
                 raise ValueError(
                     "granting TRUNK while other sharers exist violates "
@@ -35,11 +39,11 @@ class DirectoryEntry:
 
     def downgrade(self, client: int, to: Perm) -> None:
         """Record that *client* now holds at most *to*."""
-        if to is Perm.NONE:
+        if to is _NONE:
             self.sharers.discard(client)
             if self.owner == client:
                 self.owner = None
-        elif to is Perm.BRANCH:
+        elif to is _BRANCH:
             if self.owner == client:
                 self.owner = None
         else:  # TRUNK: no-op report
@@ -50,10 +54,10 @@ class DirectoryEntry:
 
     def perm_of(self, client: int) -> Perm:
         if client == self.owner:
-            return Perm.TRUNK
+            return _TRUNK
         if client in self.sharers:
-            return Perm.BRANCH
-        return Perm.NONE
+            return _BRANCH
+        return _NONE
 
     @property
     def idle(self) -> bool:

@@ -20,6 +20,11 @@ class CacheGeometry:
     line_bytes: int = 64
 
     def __post_init__(self) -> None:
+        for name in ("size_bytes", "ways", "line_bytes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"cache {name} must be positive, got {getattr(self, name)}"
+                )
         if self.size_bytes % (self.ways * self.line_bytes):
             raise ValueError(
                 f"cache size {self.size_bytes} not divisible by "

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Dict, Iterable, List, Sequence
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, List, Sequence
 
 
 def median(values: Sequence[float]) -> float:
@@ -27,25 +27,32 @@ def stdev(values: Sequence[float]) -> float:
 
 
 class StatCounter:
-    """Named event counters for a hardware component."""
+    """Named event counters for a hardware component.
+
+    ``counts`` is the backing ``defaultdict(int)``; a per-access hot path
+    may bind it once and bump ``counts[name] += 1`` in place, which is
+    exactly what :meth:`inc` does without the method call.  (A plain
+    dict subclass rather than :class:`~collections.Counter`, whose
+    Python-level ``__delitem__`` slows every item assignment.)
+    """
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self.counts: DefaultDict[str, int] = defaultdict(int)
 
     def inc(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> int:
-        return self._counts[name]
+        return self.counts.get(name, 0)  # reading never creates a key
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"StatCounter({body})"
 
 

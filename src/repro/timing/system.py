@@ -35,6 +35,10 @@ from repro.timing.cache import LineCache
 from repro.timing.params import TimingParams
 from repro.tilelink.permissions import Perm
 
+# Enum member lookups (``Perm.TRUNK``) cost a descriptor call each on
+# CPython 3.11; the access path compares against these aliases instead.
+_NONE, _BRANCH, _TRUNK = Perm.NONE, Perm.BRANCH, Perm.TRUNK
+
 
 @dataclass
 class L1Rec:
@@ -133,7 +137,10 @@ class TimingSystem:
         self.persisted: Dict[int, int] = {}
         self._line_words: Dict[int, Set[int]] = {}
         self.threads = [ThreadCtx(self, tid) for tid in range(p.num_threads)]
+        self._line_bytes = p.line_bytes
         self.stats = StatCounter()
+        #: the counters behind ``stats``, bumped in place on the access path
+        self._counts = self.stats.counts
         self.obs = None  # observability bus; attached via repro.obs.attach_timing
         #: DRAM writes still in flight; a crash drops the unfinished ones
         self.in_flight: List[InFlightWriteback] = []
@@ -145,7 +152,7 @@ class TimingSystem:
 
     # ------------------------------------------------------------- helpers
     def line_of(self, address: int) -> int:
-        return address - (address % self.params.line_bytes)
+        return address - (address % self._line_bytes)
 
     def _words_of(self, line: int) -> Set[int]:
         return self._line_words.get(line, set())
@@ -230,7 +237,7 @@ class TimingSystem:
         l3rec = self.l3.remove(line) if self.l3 is not None else None
         if l3rec is not None:
             rec = L2Rec(dirty=l3rec.dirty, values=dict(l3rec.values))
-            self.stats.inc("l3_hits")
+            self._counts["l3_hits"] += 1
         else:
             rec = L2Rec(dirty=False, values=self._persisted_line(line))
         evicted = self.l2.put(line, rec)
@@ -260,14 +267,14 @@ class TimingSystem:
                 if victim.dirty:
                     self.persisted.update(victim.values)
                     self._count_wb(victim_line)
-                    self.stats.inc("l3_evict_writebacks")
-            self.stats.inc("l2_evict_to_l3")
+                    self._counts["l3_evict_writebacks"] += 1
+            self._counts["l2_evict_to_l3"] += 1
         elif rec.dirty:
             self.persisted.update(rec.values)
             self._count_wb(line)
-            self.stats.inc("l2_evict_writebacks")
+            self._counts["l2_evict_writebacks"] += 1
         else:
-            self.stats.inc("l2_evict_drops")
+            self._counts["l2_evict_drops"] += 1
 
     def _merge_owner_dirty(self, line: int, rec: L2Rec, keep_owner: bool) -> bool:
         """Pull dirty data from the TRUNK owner (if any) into the L2 copy.
@@ -289,10 +296,10 @@ class TimingSystem:
                 l1rec.skip = False  # dirty above us: not persisted (§6.2)
                 transferred = True
             if keep_owner:
-                l1rec.perm = Perm.BRANCH
+                l1rec.perm = _BRANCH
             else:
                 self.l1s[owner].remove(line)
-        rec.directory.downgrade(owner, Perm.BRANCH if keep_owner else Perm.NONE)
+        rec.directory.downgrade(owner, _BRANCH if keep_owner else _NONE)
         return transferred
 
     def _revoke_sharers(self, line: int, rec: L2Rec, keep: Optional[int]) -> None:
@@ -305,29 +312,33 @@ class TimingSystem:
                     rec.values.update(self._arch_line(line))
                     rec.dirty = True
                 self.l1s[tid].remove(line)
-            rec.directory.downgrade(tid, Perm.NONE)
+            rec.directory.downgrade(tid, _NONE)
 
     # ------------------------------------------------------------ accesses
-    def _fill(self, ctx: ThreadCtx, line: int, want_write: bool) -> int:
-        """L1 miss path; returns the access cost."""
-        rec = self.l2.get(line)
+    def _fill(
+        self, ctx: ThreadCtx, line: int, want_write: bool
+    ) -> "tuple[int, L1Rec]":
+        """L1 miss path; returns the access cost and the new L1 record."""
+        l2 = self.l2
+        bucket = l2.sets[line // l2.line_bytes % l2.num_sets]
+        rec = bucket.get(line)
         if rec is None:
             cost = self._fill_cost(line)
             rec = self._l2_fetch(line)
-            self.stats.inc("mem_fills")
+            self._counts["mem_fills"] += 1
         else:
             cost = self.params.l2_hit
-            self.l2.touch(line)
-            self.stats.inc("l2_hits")
+            bucket.move_to_end(line)
+            self._counts["l2_hits"] += 1
         if want_write:
             if self._merge_owner_dirty(line, rec, keep_owner=False):
                 cost += self.params.probe_extra
             self._revoke_sharers(line, rec, keep=ctx.tid)
-            perm = Perm.TRUNK
+            perm = _TRUNK
         else:
             if self._merge_owner_dirty(line, rec, keep_owner=True):
                 cost += self.params.probe_extra
-            perm = Perm.TRUNK if rec.directory.idle else Perm.BRANCH
+            perm = _TRUNK if rec.directory.idle else _BRANCH
         # GrantData vs GrantDataDirty decides the skip bit (§6.1)
         skip = self.params.skip_it and (
             not rec.dirty or "skip_dirty_grant" in self.mutants
@@ -338,58 +349,70 @@ class TimingSystem:
             self._l1_evict(ctx.tid, *evicted)
             cost += 5
         rec.directory.grant(ctx.tid, perm)
-        return cost
+        return cost, l1rec
 
     def _l1_evict(self, tid: int, line: int, l1rec: L1Rec) -> None:
-        rec = self.l2.get(line)
+        l2 = self.l2
+        rec = l2.sets[line // l2.line_bytes % l2.num_sets].get(line)
         if rec is None:  # pragma: no cover - inclusivity guarantees presence
             raise RuntimeError("L1 line absent from inclusive L2")
         if l1rec.dirty:
             rec.values.update(self._arch_line(line))
             rec.dirty = True
-            self.stats.inc("l1_evict_writebacks")
-        rec.directory.downgrade(tid, Perm.NONE)
+            self._counts["l1_evict_writebacks"] += 1
+        rec.directory.downgrade(tid, _NONE)
 
+    # The L1-hit paths of load() and store() are spelled out inline (one
+    # set lookup, the LRU bump, the clock and the counters): they run once
+    # per simulated access.
     def load(self, ctx: ThreadCtx, address: int) -> int:
-        line = self.line_of(address)
-        self.stats.inc("loads")
-        l1rec = self.l1s[ctx.tid].get(line)
-        if l1rec is not None:
-            self.l1s[ctx.tid].touch(line)
+        line = address - address % self._line_bytes
+        counts = self._counts
+        counts["loads"] += 1
+        l1 = self.l1s[ctx.tid]
+        bucket = l1.sets[line // l1.line_bytes % l1.num_sets]
+        if line in bucket:
+            bucket.move_to_end(line)
             ctx.now += self.params.l1_hit
-            self.stats.inc("l1_hits")
+            counts["l1_hits"] += 1
         else:
-            ctx.now += self._fill(ctx, line, want_write=False)
-            self.stats.inc("l1_misses")
+            ctx.now += self._fill(ctx, line, want_write=False)[0]
+            counts["l1_misses"] += 1
         return self.arch.get(address, 0)
 
     def store(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        line = self.line_of(address)
-        self.stats.inc("stores")
-        l1rec = self.l1s[ctx.tid].get(line)
-        if l1rec is not None and l1rec.perm is Perm.TRUNK:
-            self.l1s[ctx.tid].touch(line)
+        line = address - address % self._line_bytes
+        counts = self._counts
+        counts["stores"] += 1
+        l1 = self.l1s[ctx.tid]
+        bucket = l1.sets[line // l1.line_bytes % l1.num_sets]
+        l1rec = bucket.get(line)
+        if l1rec is None:
+            cost, l1rec = self._fill(ctx, line, want_write=True)
+            ctx.now += cost
+            counts["l1_misses"] += 1
+        elif l1rec.perm is _TRUNK:
+            bucket.move_to_end(line)
             ctx.now += self.params.l1_hit
-            self.stats.inc("l1_hits")
-        elif l1rec is not None:  # upgrade BRANCH -> TRUNK
+            counts["l1_hits"] += 1
+        else:  # upgrade BRANCH -> TRUNK
             rec = self.l2.get(line)
             assert rec is not None
             self._revoke_sharers(line, rec, keep=ctx.tid)
-            rec.directory.downgrade(ctx.tid, Perm.NONE)
-            rec.directory.grant(ctx.tid, Perm.TRUNK)
-            l1rec.perm = Perm.TRUNK
+            rec.directory.downgrade(ctx.tid, _NONE)
+            rec.directory.grant(ctx.tid, _TRUNK)
+            l1rec.perm = _TRUNK
             ctx.now += self.params.upgrade
-            self.stats.inc("upgrades")
-        else:
-            ctx.now += self._fill(ctx, line, want_write=True)
-            self.stats.inc("l1_misses")
-        l1rec = self.l1s[ctx.tid].get(line)
-        assert l1rec is not None
+            counts["upgrades"] += 1
         l1rec.dirty = True
         if "store_keeps_skip" not in self.mutants:
             l1rec.skip = False  # a dirty line is never persisted
         self.arch[address] = value
-        self._line_words.setdefault(line, set()).add(address)
+        words = self._line_words.get(line)
+        if words is None:
+            self._line_words[line] = {address}
+        else:
+            words.add(address)
 
     def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
         """Compare-and-swap: acquires write permission, then swaps atomically.
@@ -402,19 +425,19 @@ class TimingSystem:
             # failed CAS still acquired the line for writing
             self.store(ctx, address, current)
             ctx.now += 2
-            self.stats.inc("cas_failures")
+            self._counts["cas_failures"] += 1
             return False
         self.store(ctx, address, new)
         ctx.now += 2
-        self.stats.inc("cas_successes")
+        self._counts["cas_successes"] += 1
         return True
 
     # ----------------------------------------------------------- writeback
     def cbo(self, ctx: ThreadCtx, address: int, invalidate: bool) -> None:
         """CBO.FLUSH (*invalidate*) / CBO.CLEAN, asynchronous per §4."""
-        line = self.line_of(address)
+        line = address - address % self._line_bytes
         l1 = self.l1s[ctx.tid]
-        l1rec = l1.get(line)
+        l1rec = l1.sets[line // l1.line_bytes % l1.num_sets].get(line)
         # Skip It (§6.1): hit + clean + skip set => drop before the queue.
         if (
             self.params.skip_it
@@ -423,7 +446,7 @@ class TimingSystem:
             and l1rec.skip
         ):
             ctx.now += self.params.cbo_skip
-            self.stats.inc("cbo_skipped")
+            self._counts["cbo_skipped"] += 1
             if self.obs is not None:
                 self.obs.emit(
                     ctx.now,
@@ -435,7 +458,7 @@ class TimingSystem:
                 )
             return
         ctx.now += self.params.cbo_issue
-        self.stats.inc("cbo_issued")
+        self._counts["cbo_issued"] += 1
         if self.obs is not None:
             self.obs.emit(
                 ctx.now,
@@ -463,7 +486,8 @@ class TimingSystem:
         plus the words this line carries to DRAM (``None`` when the
         hierarchy holds nothing dirty).
         """
-        rec = self.l2.get(line)
+        l2 = self.l2
+        rec = l2.sets[line // l2.line_bytes % l2.num_sets].get(line)
         latency = self.params.cbo_l2_roundtrip
         # a deeper hierarchy lengthens every writeback's path (§7.4):
         # requests traverse the L3 on their way to the persistence domain
@@ -479,7 +503,7 @@ class TimingSystem:
             l1rec.dirty = False
             latency = self.params.cbo_dram_writeback + l3_extra
             payload = self._persist_l2(line, rec)
-            self.stats.inc("cbo_dram")
+            self._counts["cbo_dram"] += 1
         elif rec is not None and (
             rec.dirty or rec.directory.owner not in (None, ctx.tid)
         ):
@@ -495,9 +519,9 @@ class TimingSystem:
                     latency, self.params.cbo_dram_writeback + l3_extra
                 )
                 payload = self._persist_l2(line, rec)
-                self.stats.inc("cbo_dram")
+                self._counts["cbo_dram"] += 1
             else:
-                self.stats.inc("cbo_l2_clean")
+                self._counts["cbo_l2_clean"] += 1
         else:
             # Not dirty anywhere the L2 can see — but the victim L3 may
             # hold the only dirty copy (the line lives in at most one of
@@ -509,11 +533,11 @@ class TimingSystem:
                 payload = dict(l3rec.values)
                 l3rec.dirty = False
                 latency = self.params.cbo_dram_writeback + l3_extra
-                self.stats.inc("cbo_dram")
-                self.stats.inc("cbo_l3_dirty_writebacks")
+                self._counts["cbo_dram"] += 1
+                self._counts["cbo_l3_dirty_writebacks"] += 1
             else:
                 # persisted already: the LLC trivially skips the DRAM write
-                self.stats.inc("cbo_l2_clean")
+                self._counts["cbo_l2_clean"] += 1
         if invalidate:
             if rec is not None:
                 self._revoke_sharers(line, rec, keep=None)
@@ -588,8 +612,8 @@ class TimingSystem:
         last = self.line_of(address + length - 1)
         nlines = (last - base) // line_bytes + 1
         ctx.now += self.params.cbo_issue
-        self.stats.inc("cbo_range_issued")
-        self.stats.inc("cbo_range_lines", nlines)
+        self._counts["cbo_range_issued"] += 1
+        self._counts["cbo_range_lines"] += nlines
         if self.obs is not None:
             self.obs.emit(
                 ctx.now,
@@ -613,10 +637,11 @@ class TimingSystem:
         cursor = start
         horizon = start
         l1 = self.l1s[ctx.tid]
+        l1_sets, l1_line_bytes, l1_num_sets = l1.sets, l1.line_bytes, l1.num_sets
         skipped = 0
         for index in range(sweep_lines):
             line = base + index * line_bytes
-            l1rec = l1.get(line)
+            l1rec = l1_sets[line // l1_line_bytes % l1_num_sets].get(line)
             if (
                 self.params.skip_it
                 and l1rec is not None
@@ -637,7 +662,7 @@ class TimingSystem:
             horizon = max(horizon, done)
             self._record_or_adopt(ctx, line, payload, done)
         if skipped:
-            self.stats.inc("cbo_range_line_skipped", skipped)
+            self._counts["cbo_range_line_skipped"] += skipped
         if self.obs is not None:
             self.obs.emit(
                 cursor,
@@ -669,7 +694,7 @@ class TimingSystem:
             ctx.now = max(ctx.now, horizon)
             ctx.outstanding.clear()
         self._settle_thread(ctx.tid)
-        self.stats.inc("cbo_range_waits")
+        self._counts["cbo_range_waits"] += 1
 
     def _persist_l2(self, line: int, rec: L2Rec) -> Dict[int, int]:
         """Snapshot the L2 copy for DRAM and clear its dirty bit (§4)."""
@@ -706,7 +731,7 @@ class TimingSystem:
             self._settle_thread(ctx.tid)
         ctx.last_fence_waited = waited
         ctx.now += self.params.fence_base
-        self.stats.inc("fences")
+        self._counts["fences"] += 1
         if self.obs is not None:
             self.obs.emit(
                 ctx.now, "timing", "fence", track=f"t{ctx.tid}", waited=waited
@@ -768,5 +793,5 @@ class TimingSystem:
         self.arch = dict(self.persisted)
         for ctx in self.threads:
             ctx.outstanding.clear()
-        self.stats.inc("crashes")
+        self._counts["crashes"] += 1
         return dict(self.persisted)

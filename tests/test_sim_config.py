@@ -26,6 +26,18 @@ class TestCacheGeometry:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             CacheGeometry(size_bytes=1000, ways=3)
+        # zero or negative dimensions: no sets to index (or a division by
+        # zero) on the first access, so they are refused up front
+        for kwargs in (
+            dict(size_bytes=0, ways=8),
+            dict(size_bytes=-4096, ways=8),
+            dict(size_bytes=4096, ways=0),
+            dict(size_bytes=4096, ways=-4),
+            dict(size_bytes=4096, ways=4, line_bytes=0),
+            dict(size_bytes=4096, ways=4, line_bytes=-64),
+        ):
+            with pytest.raises(ValueError):
+                CacheGeometry(**kwargs)
 
     def test_same_set_different_tags(self):
         g = CacheGeometry(size_bytes=32 * 1024, ways=8)

@@ -42,6 +42,20 @@ class TestStatCounter:
     def test_missing_is_zero(self):
         assert StatCounter().get("nothing") == 0
 
+    def test_reading_creates_no_key(self):
+        c = StatCounter()
+        c.get("nothing")
+        assert c.as_dict() == {}
+
+    def test_in_place_bump_matches_inc(self):
+        a, b = StatCounter(), StatCounter()
+        a.inc("x")
+        a.inc("y", 3)
+        b.counts["x"] += 1
+        b.counts["y"] += 3
+        assert a.as_dict() == b.as_dict() == {"x": 1, "y": 3}
+        assert list(a.as_dict()) == list(b.as_dict())  # first-bump order
+
     def test_as_dict_and_reset(self):
         c = StatCounter()
         c.inc("a")
