@@ -146,14 +146,18 @@ def recover(
         state.rolled_back_txns += 1
         txn_buffer.clear()
 
+    # field offsets within a slot, so each field read is one addition
+    stride = layout.field_stride
+    lsn_at, op_at, key_at = F_LSN * stride, F_OP * stride, F_KEY * stride
+    value_at, crc_at = F_VALUE * stride, F_CRC * stride
     expected = watermark + 1
     for _ in range(layout.log_capacity):
-        index = layout.slot_of(expected)
-        lsn = read(layout.field_addr(index, F_LSN))
-        op = read(layout.field_addr(index, F_OP))
-        key = read(layout.field_addr(index, F_KEY))
-        value = read(layout.field_addr(index, F_VALUE))
-        crc = read(layout.field_addr(index, F_CRC))
+        slot = layout.slot_addr(layout.slot_of(expected))
+        lsn = read(slot + lsn_at)
+        op = read(slot + op_at)
+        key = read(slot + key_at)
+        value = read(slot + value_at)
+        crc = read(slot + crc_at)
         if lsn == 0:
             state.stop_reason = "empty_slot"
             break

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from operator import itemgetter
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.coherence.directory import DirectoryEntry
 from repro.sim.stats import StatCounter
@@ -210,6 +211,30 @@ class TimingSystem:
                 remaining.append(wb)
         self.in_flight = remaining
 
+    def _landing_schedule(self) -> List[Tuple[int, InFlightWriteback]]:
+        """Each in-flight writeback paired with its effective completion time.
+
+        The memory controller retires same-line writes in arrival order,
+        so a write cannot land before its predecessors on the line: its
+        effective time is the latest ``done`` among itself and every
+        earlier same-line write.  Listed in arrival order.
+        """
+        horizon: Dict[int, int] = {}
+        schedule = []
+        for wb in self.in_flight:
+            effective = max(wb.done, horizon.get(wb.line, wb.done))
+            horizon[wb.line] = effective
+            schedule.append((effective, wb))
+        return schedule
+
+    def _landed(self, at: Optional[int]) -> Iterator[Dict[int, int]]:
+        """Payloads of the in-flight writebacks that have landed by *at*
+        (by their issuing thread's clock when *at* is ``None``), in
+        arrival order."""
+        for effective, wb in self._landing_schedule():
+            if effective <= (at if at is not None else self.threads[wb.tid].now):
+                yield wb.values
+
     def persisted_image(self, at: Optional[int] = None) -> Dict[int, int]:
         """The words DRAM would hold if power failed right now.
 
@@ -219,16 +244,35 @@ class TimingSystem:
         are the mid-writeback window a crash would lose.
         """
         image = dict(self.persisted)
-        horizon: Dict[int, int] = {}
-        for wb in self.in_flight:
-            # same-line writes complete in arrival order at the
-            # controller, so a write cannot land before its predecessors
-            effective = max(wb.done, horizon.get(wb.line, wb.done))
-            horizon[wb.line] = effective
-            deadline = at if at is not None else self.threads[wb.tid].now
-            if effective <= deadline:
-                image.update(wb.values)
+        for values in self._landed(at):
+            image.update(values)
         return image
+
+    def persisted_images(self, ats: Iterable[int]) -> Iterator[Dict[int, int]]:
+        """``persisted_image(at)`` for each of the ascending times *ats*, lazily.
+
+        One landing schedule, sorted stably by effective time, and one
+        running image advanced across *ats*: each image costs only the
+        writebacks that landed since the previous one.  Sorting keeps
+        same-line writes in arrival order (their effective times never
+        decrease), and different lines carry disjoint words, so the
+        running image equals the arrival-order replay.  An image with
+        nothing new landed is the previous object again; yielded images
+        are never modified afterwards, so treat them as read-only.
+        """
+        schedule = sorted(self._landing_schedule(), key=itemgetter(0))
+        image = dict(self.persisted)
+        landed, previous = 0, float("-inf")
+        for at in ats:
+            if at < previous:
+                raise ValueError(f"crash times must ascend: {at} after {previous}")
+            previous = at
+            if landed < len(schedule) and schedule[landed][0] <= at:
+                image = dict(image)
+                while landed < len(schedule) and schedule[landed][0] <= at:
+                    image.update(schedule[landed][1].values)
+                    landed += 1
+            yield image
 
     # ------------------------------------------------------ L2 maintenance
     def _l2_fetch(self, line: int) -> L2Rec:
@@ -777,13 +821,8 @@ class TimingSystem:
         ones are lost with the caches — the mid-writeback crash window
         the injector (:mod:`repro.verify.injector`) enumerates.
         """
-        horizon: Dict[int, int] = {}
-        for wb in self.in_flight:
-            effective = max(wb.done, horizon.get(wb.line, wb.done))
-            horizon[wb.line] = effective
-            deadline = at if at is not None else self.threads[wb.tid].now
-            if effective <= deadline:
-                self.persisted.update(wb.values)
+        for values in self._landed(at):
+            self.persisted.update(values)
         self.in_flight = []
         p = self.params
         self.l1s = [LineCache(p.l1) for _ in range(p.num_threads)]

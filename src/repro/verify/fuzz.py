@@ -305,7 +305,8 @@ class DifferentialFuzzer:
             bus.unsubscribe(on_event)
             system.obs = None
         words = self._words(programs)
-        image = {w: system.persisted_image().get(w, 0) for w in words}
+        persisted = system.persisted_image()
+        image = {w: persisted.get(w, 0) for w in words}
         return image, issued, range_issued, skipped, dict(system.wb_lines)
 
     @staticmethod

@@ -36,27 +36,21 @@ from repro.persist.api import PMemView
 from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
-from repro.persist.structures.base import persisted_reader
 from repro.serve.tier import ServeTier
 from repro.store.layout import OP_PUT
-from repro.store.recovery import RecoveryError, recover
 from repro.store.shared import SharedLogStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
+from repro.verify.injector import MAX_VIOLATIONS
 from repro.verify.oracle import Violation
-from repro.verify.store import (
-    StoreOracle,
-    StoreSweepReport,
-    WINDOWED_BOUNDARIES,
-)
+from repro.verify.store import StoreOracle, StoreSweepReport, crash_probe
 
 
-class SessionOracle:
+class SessionOracle(StoreOracle):
     """Journal + per-session observation history + the session checks.
 
-    Wraps a :class:`~repro.verify.store.StoreOracle` (which keeps the
-    LSN→op journal off ``wal.on_append``) and layers:
+    Extends the :class:`~repro.verify.store.StoreOracle` (which keeps
+    the LSN→op journal off ``wal.on_append``) with:
 
     * ``(key, value) → lsn`` provenance, so any value a read returns is
       traced to the write that produced it (workload values are unique);
@@ -68,7 +62,7 @@ class SessionOracle:
     """
 
     def __init__(self) -> None:
-        self.store = StoreOracle()
+        super().__init__()
         self.value_lsn: Dict[Tuple[int, int], int] = {}
         self.session_write: Dict[Tuple[int, int], int] = {}
         self.session_seen: Dict[Tuple[int, int], int] = {}
@@ -80,7 +74,7 @@ class SessionOracle:
     # -------------------------------------------------- tier/store hooks
     def observe_append(self, lsn: int, op: int, key: int, value: int) -> None:
         """``wal.on_append`` hook: journal + value provenance."""
-        self.store.observe(lsn, op, key, value)
+        self.observe(lsn, op, key, value)
         if op == OP_PUT:
             self.value_lsn[(key, value)] = lsn
 
@@ -149,29 +143,17 @@ class SessionOracle:
         self.shed[rid] = ticket
 
     # ------------------------------------------------ crash-point checks
-    def check(
+    def check_state(
         self,
-        read,
+        state,
         layout,
         *,
         acked_lsn: int,
         initiated_lsn: int,
         at: object,
-        check_lsn: bool = True,
     ) -> List[Violation]:
         """Stage-5 durability contract + shed ops must not be recovered."""
-        try:
-            state = recover(read, layout, check_lsn=check_lsn)
-        except RecoveryError as exc:
-            return [
-                Violation(
-                    kind="unrecoverable",
-                    word=layout.superblock,
-                    detail=str(exc),
-                    at=at,
-                )
-            ]
-        violations = self.store.check_state(
+        violations = super().check_state(
             state,
             layout,
             acked_lsn=acked_lsn,
@@ -292,28 +274,7 @@ class ServeCrashSweep:
         tier.on_write = oracle.observe_write
         tier.on_shed = oracle.observe_shed
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
+        store.probe = crash_probe(report, system, store, oracle)
 
         # Prefill every key and publish a checkpoint so snapshot reads
         # have a snapshot from the first request on (probed + journaled

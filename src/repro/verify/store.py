@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.persist.api import PMemView
 from repro.persist.flushopt import make_optimizer
@@ -79,9 +79,14 @@ class StoreOracle:
     def __init__(self) -> None:
         # lsn -> (op, key, value); markers included (op=OP_COMMIT)
         self.journal: Dict[int, Tuple[int, int, int]] = {}
+        #: applied_lsn -> reference state, valid until the next append
+        self._references: Dict[int, Dict[int, int]] = {}
+        #: the last image recovered, its settings and what recovery gave
+        self._recovered: Optional[Tuple[object, Dict[int, int], object]] = None
 
     def observe(self, lsn: int, op: int, key: int, value: int) -> None:
         self.journal[lsn] = (op, key, value)
+        self._references.clear()
 
     def reference_state(self, applied_lsn: int) -> Dict[int, int]:
         """KV state after replaying the journal prefix up to a marker.
@@ -89,8 +94,15 @@ class StoreOracle:
         Mirrors :func:`repro.store.recovery.recover` exactly, including
         transactions: OP_TXN records buffer and fold in only at their
         OP_TXN_COMMIT, so a transaction whose commit record lies beyond
-        ``applied_lsn`` contributes nothing.
+        ``applied_lsn`` contributes nothing.  Memoised per
+        ``applied_lsn`` until the journal grows; treat it as read-only.
         """
+        state = self._references.get(applied_lsn)
+        if state is None:
+            state = self._references[applied_lsn] = self._replay(applied_lsn)
+        return state
+
+    def _replay(self, applied_lsn: int) -> Dict[int, int]:
         state: Dict[int, int] = {}
         txn_buffer: List[Tuple[int, int]] = []  # (key, value); 0 = delete
         for lsn in sorted(self.journal):
@@ -114,7 +126,7 @@ class StoreOracle:
 
     def check(
         self,
-        read,
+        image: Dict[int, int],
         layout,
         *,
         acked_lsn: int,
@@ -123,21 +135,41 @@ class StoreOracle:
         check_lsn: bool = True,
         txn_partial: bool = False,
     ) -> List[Violation]:
-        try:
-            state = recover(
-                read, layout, check_lsn=check_lsn, txn_partial=txn_partial
-            )
-        except RecoveryError as exc:
+        """Recover the crash *image* and judge it at crash point *at*.
+
+        Consecutive crash points often see the same image, so recovery
+        runs only when the image (compared in full) or the replay
+        settings differ from the previous call's; its outcome, state or
+        :class:`RecoveryError`, is reused otherwise.  The contract
+        checks always run, against this point's LSNs.  The oracle keeps
+        the image to compare the next one against, so do not modify it
+        afterwards.
+        """
+        settings = (layout, check_lsn, txn_partial)
+        last = self._recovered
+        if last is None or last[0] != settings or last[1] != image:
+            try:
+                outcome = recover(
+                    persisted_reader(image),
+                    layout,
+                    check_lsn=check_lsn,
+                    txn_partial=txn_partial,
+                )
+            except RecoveryError as exc:
+                outcome = exc
+            self._recovered = last = (settings, image, outcome)
+        outcome = last[2]
+        if isinstance(outcome, RecoveryError):
             return [
                 Violation(
                     kind="unrecoverable",
                     word=layout.superblock,
-                    detail=str(exc),
+                    detail=str(outcome),
                     at=at,
                 )
             ]
         return self.check_state(
-            state,
+            outcome,
             layout,
             acked_lsn=acked_lsn,
             initiated_lsn=initiated_lsn,
@@ -206,6 +238,53 @@ class StoreOracle:
         return violations
 
 
+def crash_images(
+    system: TimingSystem, windowed: bool
+) -> Iterator[Tuple[Optional[int], Dict[int, int]]]:
+    """The crash points of one boundary, as ``(at, image)``.
+
+    First the image of a crash right now (``at`` is ``None``); then, at
+    a windowed boundary, one image per distinct writeback-completion
+    time, in ascending order.
+    """
+    yield None, timing_crash_image(system)
+    if windowed:
+        ats = sorted({wb.done for wb in system.in_flight})
+        yield from zip(ats, system.persisted_images(ats))
+
+
+def crash_probe(
+    report: StoreSweepReport,
+    system: TimingSystem,
+    store,
+    oracle: StoreOracle,
+    **check_kw,
+) -> Callable[[str], None]:
+    """The ``store.probe`` every store-level sweep installs: judge each
+    crash point of a boundary with ``oracle.check`` (*check_kw* are its
+    replay settings) until the report holds ``MAX_VIOLATIONS``."""
+
+    def probe(name: str) -> None:
+        report.boundaries += 1
+        if len(report.violations) >= MAX_VIOLATIONS:
+            return
+        for at, image in crash_images(system, name in WINDOWED_BOUNDARIES):
+            report.crash_points += 1
+            report.recoveries += 1
+            report.violations.extend(
+                oracle.check(
+                    image,
+                    store.layout,
+                    acked_lsn=store.acked_lsn,
+                    initiated_lsn=store.initiated_lsn,
+                    at=f"{name}@{'now' if at is None else at}",
+                    **check_kw,
+                )[: MAX_VIOLATIONS - len(report.violations)]
+            )
+
+    return probe
+
+
 class StoreCrashSweep:
     """Drive one (optimizer, group-commit) config through a crash sweep."""
 
@@ -262,7 +341,6 @@ class StoreCrashSweep:
         )
         oracle = StoreOracle()
         store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
         # hardware-level mutants (the truncated-sweep bug) live in the
         # timing model's flag set, not the store's
         system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
@@ -272,29 +350,13 @@ class StoreCrashSweep:
             if m != "store_replay_trusts_crc" and m not in TIMING_MUTANTS
         )
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
+        store.probe = crash_probe(
+            report,
+            system,
+            store,
+            oracle,
+            check_lsn="store_replay_trusts_crc" not in self.mutants,
+        )
         rng = random.Random(self.seed)
         next_value = 1
         for _ in range(self.ops):
@@ -383,7 +445,6 @@ class SharedStoreCrashSweep:
         )
         oracle = StoreOracle()
         store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
         system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
         store.mutants.update(
             m
@@ -391,29 +452,13 @@ class SharedStoreCrashSweep:
             if m != "store_replay_trusts_crc" and m not in TIMING_MUTANTS
         )
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
+        store.probe = crash_probe(
+            report,
+            system,
+            store,
+            oracle,
+            check_lsn="store_replay_trusts_crc" not in self.mutants,
+        )
         rng = random.Random(self.seed)
         next_value = 1
         for i in range(self.ops):

@@ -39,19 +39,13 @@ from repro.persist.api import PMemView
 from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
-from repro.persist.structures.base import persisted_reader
 from repro.store.layout import OP_TXN, OP_TXN_COMMIT
 from repro.store.shared import SharedLogStore
 from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
-from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
 from repro.verify.oracle import Violation
-from repro.verify.store import (
-    StoreOracle,
-    StoreSweepReport,
-    WINDOWED_BOUNDARIES,
-)
+from repro.verify.store import StoreOracle, StoreSweepReport, crash_probe
 
 #: mutant names this sweep understands (see repro.verify.mutants)
 _REPLAY_MUTANTS = frozenset({"store_replay_trusts_crc", "txn_partial_replay"})
@@ -242,36 +236,18 @@ class TxnCrashSweep:
         )
         oracle = TxnOracle()
         store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        txn_partial = "txn_partial_replay" in self.mutants
         store.mutants.update(
             m for m in self.mutants if m not in _REPLAY_MUTANTS
         )
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                        txn_partial=txn_partial,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
+        store.probe = crash_probe(
+            report,
+            system,
+            store,
+            oracle,
+            check_lsn="store_replay_trusts_crc" not in self.mutants,
+            txn_partial="txn_partial_replay" in self.mutants,
+        )
         rng = random.Random(self.seed)
         _drive_workload(
             rng,
@@ -350,36 +326,18 @@ class SharedTxnCrashSweep:
         )
         oracle = TxnOracle()
         store.wal.on_append = oracle.observe
-        check_lsn = "store_replay_trusts_crc" not in self.mutants
-        txn_partial = "txn_partial_replay" in self.mutants
         store.mutants.update(
             m for m in self.mutants if m not in _REPLAY_MUTANTS
         )
 
-        def probe(name: str) -> None:
-            report.boundaries += 1
-            if len(report.violations) >= MAX_VIOLATIONS:
-                return
-            ats: List[Optional[int]] = [None]
-            if name in WINDOWED_BOUNDARIES:
-                ats.extend(sorted({wb.done for wb in system.in_flight}))
-            for at in ats:
-                report.crash_points += 1
-                report.recoveries += 1
-                image = timing_crash_image(system, at=at)
-                report.violations.extend(
-                    oracle.check(
-                        persisted_reader(image),
-                        store.layout,
-                        acked_lsn=store.acked_lsn,
-                        initiated_lsn=store.initiated_lsn,
-                        at=f"{name}@{'now' if at is None else at}",
-                        check_lsn=check_lsn,
-                        txn_partial=txn_partial,
-                    )[: MAX_VIOLATIONS - len(report.violations)]
-                )
-
-        store.probe = probe
+        store.probe = crash_probe(
+            report,
+            system,
+            store,
+            oracle,
+            check_lsn="store_replay_trusts_crc" not in self.mutants,
+            txn_partial="txn_partial_replay" in self.mutants,
+        )
         rng = random.Random(self.seed)
         handles = [store.handle(tid) for tid in range(self.threads)]
         _drive_workload(

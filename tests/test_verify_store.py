@@ -75,6 +75,35 @@ class TestSharedAcceptanceMatrix:
         assert all(report.ok for _, report in results)
 
 
+def _layout():
+    from repro.store.layout import StoreLayout
+
+    return StoreLayout(
+        superblock=0x1000,
+        log_base=0x2000,
+        log_capacity=8,
+        field_stride=8,
+        line_bytes=64,
+        num_buckets=4,
+    )
+
+
+@pytest.fixture
+def recover_calls(monkeypatch):
+    """Count the recoveries the oracle runs."""
+    import repro.verify.store as verify_store
+
+    calls = []
+    original = verify_store.recover
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify_store, "recover", counting)
+    return calls
+
+
 class TestStoreOracle:
     def _oracle(self):
         oracle = StoreOracle()
@@ -98,19 +127,9 @@ class TestStoreOracle:
         assert oracle.reference_state(1) == {5: 50}
 
     def test_check_flags_lost_ghost_and_corrupt(self):
-        from repro.persist.structures.base import persisted_reader
-        from repro.store.layout import StoreLayout
-
-        layout = StoreLayout(
-            superblock=0x1000,
-            log_base=0x2000,
-            log_capacity=8,
-            field_stride=8,
-            line_bytes=64,
-            num_buckets=4,
-        )
+        layout = _layout()
         oracle = self._oracle()
-        empty = persisted_reader({})
+        empty = {}
         # nothing durable at all: applied=0 < acked=3 -> lost
         lost = oracle.check(
             empty, layout, acked_lsn=3, initiated_lsn=5, at="t"
@@ -121,3 +140,64 @@ class TestStoreOracle:
             oracle.check(empty, layout, acked_lsn=0, initiated_lsn=0, at="t")
             == []
         )
+
+
+class TestRecoveryMemo:
+    """The oracle recovers an image once while it repeats, yet judges
+    every crash point on its own."""
+
+    def test_same_image_twice_is_judged_twice(self, recover_calls):
+        oracle = StoreOracle()
+        layout = _layout()
+        image = {0x40: 1}
+        first = oracle.check(image, layout, acked_lsn=3, initiated_lsn=3, at="a")
+        second = oracle.check(
+            dict(image), layout, acked_lsn=3, initiated_lsn=3, at="b"
+        )
+        assert [(v.kind, v.at) for v in first] == [("lost", "a")]
+        assert [(v.kind, v.at) for v in second] == [("lost", "b")]
+        # each point is checked against its own LSNs
+        assert oracle.check(image, layout, acked_lsn=0, initiated_lsn=0, at="c") == []
+        assert len(recover_calls) == 1
+
+    def test_replay_settings_are_part_of_the_key(self, recover_calls):
+        oracle = StoreOracle()
+        layout = _layout()
+        image = {0x40: 1}
+        for check_lsn in (True, False, False, True):
+            oracle.check(
+                image, layout, acked_lsn=0, initiated_lsn=0, at="t",
+                check_lsn=check_lsn,
+            )
+        oracle.check(
+            image, layout, acked_lsn=0, initiated_lsn=0, at="t",
+            txn_partial=True,
+        )
+        assert len(recover_calls) == 4
+        oracle.check({0x40: 2}, layout, acked_lsn=0, initiated_lsn=0, at="t")
+        assert len(recover_calls) == 5
+
+    def test_unrecoverable_image_twice_reports_twice(self, recover_calls):
+        oracle = StoreOracle()
+        layout = _layout()
+        # the superblock points at a descriptor with no magic
+        image = {layout.superblock: 0x3000}
+        found = [
+            oracle.check(image, layout, acked_lsn=0, initiated_lsn=0, at=at)
+            for at in ("x", "y")
+        ]
+        assert [[(v.kind, v.at) for v in vs] for vs in found] == [
+            [("unrecoverable", "x")],
+            [("unrecoverable", "y")],
+        ]
+        assert found[0][0].detail == found[1][0].detail
+        assert len(recover_calls) == 1
+
+    def test_journal_append_refreshes_reference_state(self):
+        oracle = StoreOracle()
+        oracle.observe(1, OP_PUT, 5, 50)
+        assert oracle.reference_state(3) == {5: 50}
+        oracle.observe(2, OP_PUT, 6, 60)
+        assert oracle.reference_state(3) == {5: 50, 6: 60}
+        oracle.observe(3, OP_DELETE, 5, 0)
+        assert oracle.reference_state(3) == {6: 60}
