@@ -21,7 +21,7 @@ from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.persist.structures.base import persisted_reader
-from repro.store import DurableStore, recover
+from repro.store import SharedLogStore, recover
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 
@@ -32,17 +32,19 @@ def main() -> None:
     view = PMemView(
         system.threads[0], make_policy("none"), make_optimizer("skipit", heap)
     )
-    store = DurableStore(
-        heap, view, log_capacity=128, batch_size=8, checkpoint_every=4
+    # one thread view: the single-writer store, driven through tid 0
+    store = SharedLogStore(
+        heap, [view], log_capacity=128, batch_size=8, checkpoint_every=4
     )
+    db = store.handle(0)
 
     rng = random.Random(2024)
     acked, unacked = [], []
     for i in range(1, 101):
-        ticket = store.put(rng.randint(1, 40), 1000 + i)
+        ticket = db.put(rng.randint(1, 40), 1000 + i)
         (acked if ticket.acked else unacked).append(ticket)
     # three more puts that stay *pending* — no epoch seal, no ack
-    pending = [store.put(90 + i, 9000 + i) for i in range(3)]
+    pending = [db.put(90 + i, 9000 + i) for i in range(3)]
 
     everything = acked + unacked + pending
     print(f"operations submitted    : {len(everything)}")
@@ -66,11 +68,12 @@ def main() -> None:
     assert all(90 + i not in state.items for i in range(3)), "unacked leaked!"
 
     # -- reopen on the recovered state, keep going ------------------------
-    store2 = DurableStore(heap, view, batch_size=8, layout=store.layout)
+    store2 = SharedLogStore(heap, [view], batch_size=8, layout=store.layout)
     store2.adopt(state)
+    db2 = store2.handle(0)
     for i in range(1, 33):
-        store2.put(200 + i % 16, 5000 + i)
-    store2.sync()
+        db2.put(200 + i % 16, 5000 + i)
+    db2.sync()
     system.crash(at=None)
     state2 = recover(persisted_reader(system.persisted_image()), store2.layout)
     print("\n*** SECOND CRASH after reopen ***\n")

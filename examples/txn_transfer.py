@@ -22,7 +22,7 @@ from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.persist.structures.base import persisted_reader
-from repro.store import DurableStore, recover
+from repro.store import SharedLogStore, recover
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 
@@ -41,15 +41,17 @@ def main() -> None:
     view = PMemView(
         system.threads[0], make_policy("none"), make_optimizer("skipit", heap)
     )
-    store = DurableStore(heap, view, log_capacity=64, batch_size=8)
+    # one thread view: the single-writer store, driven through tid 0
+    store = SharedLogStore(heap, [view], log_capacity=64, batch_size=8)
+    db = store.handle(0)
 
-    store.put(ALICE, OPENING)
-    store.put(BOB, OPENING)
-    store.sync()
+    db.put(ALICE, OPENING)
+    db.put(BOB, OPENING)
+    db.sync()
     print(f"opening balances        : {balances(store.memtable)}")
 
     # -- transfer, crash before the epoch seals ---------------------------
-    txn = store.begin()
+    txn = db.begin()
     funds = txn.get(ALICE)
     txn.put(ALICE, funds - TRANSFER)
     txn.put(BOB, txn.get(BOB) + TRANSFER)
@@ -70,13 +72,14 @@ def main() -> None:
     print("rolled back whole: no debit without the credit, no money lost")
 
     # -- same transfer, sealed, crash after --------------------------------
-    store2 = DurableStore(heap, view, batch_size=8, layout=store.layout)
+    store2 = SharedLogStore(heap, [view], batch_size=8, layout=store.layout)
     store2.adopt(state)
-    txn = store2.begin()
+    db2 = store2.handle(0)
+    txn = db2.begin()
     txn.put(ALICE, txn.get(ALICE) - TRANSFER)
     txn.put(BOB, txn.get(BOB) + TRANSFER)
     ticket = txn.commit()
-    store2.sync()
+    db2.sync()
     assert ticket.acked, "sync must make the transaction durable"
     system.crash(at=None)
     state2 = recover(persisted_reader(system.persisted_image()), store2.layout)

@@ -1,12 +1,10 @@
 """Coherence bookkeeping shared by the L1 and L2 models.
 
 TileLink expresses coherence through the permission lattice
-(:mod:`repro.tilelink.permissions`); the familiar MESI names (§2.2) map
-onto (permission, dirty) pairs.  The L2's full-map directory (§3.4) lives
-here too.
+(:mod:`repro.tilelink.permissions`); the L2's full-map directory (§3.4)
+lives here.
 """
 
-from repro.coherence.mesi import MesiState, mesi_state
 from repro.coherence.directory import DirectoryEntry
 
-__all__ = ["MesiState", "mesi_state", "DirectoryEntry"]
+__all__ = ["DirectoryEntry"]

@@ -185,47 +185,16 @@ def timing_registry(system: "TimingSystem") -> MetricsRegistry:
     return registry
 
 
-def store_registry(store) -> MetricsRegistry:
-    """Metrics tree for a :class:`~repro.store.store.DurableStore`.
-
-    ``store.*`` counters (commits, fences, checkpoints, log traffic),
-    the commit-batch-size histogram, and liveness gauges over the
-    commit/log state — the group-commit amortization and checkpoint
-    cadence read straight out of one snapshot.
-    """
-    registry = MetricsRegistry()
-    registry.register_counter("store", store.stats)
-    registry.register_histogram("store.commit_batch", store.batch_sizes)
-    registry.register_gauge(
-        "store.wal.records_appended", lambda s=store: s.wal.records_appended
-    )
-    registry.register_gauge(
-        "store.wal.bytes_appended", lambda s=store: s.wal.bytes_appended
-    )
-    registry.register_gauge(
-        "store.wal.next_lsn", lambda s=store: s.wal.next_lsn
-    )
-    registry.register_gauge("store.acked_lsn", lambda s=store: s.acked_lsn)
-    registry.register_gauge("store.watermark", lambda s=store: s.watermark)
-    registry.register_gauge(
-        "store.pending_ops", lambda s=store: len(s.committer.pending)
-    )
-    registry.register_gauge(
-        "store.memtable_size", lambda s=store: len(s.memtable)
-    )
-    registry.register_gauge(
-        "store.flush_requests", lambda s=store: s.view.flush_requests
-    )
-    return registry
-
-
 def shared_store_registry(store) -> MetricsRegistry:
     """Metrics tree for a :class:`~repro.store.shared.SharedLogStore`.
 
-    Everything :func:`store_registry` exposes, plus the shared-log
-    specifics: per-thread and aggregate **ack-latency histograms**
-    (submit→durable cycles, the subsystem's headline metric — p50/p99
-    in every snapshot), the leader tid, and tail-reservation traffic.
+    ``store.*`` counters (commits, fences, checkpoints, log traffic),
+    the commit-batch-size histogram, per-thread and aggregate
+    **ack-latency histograms** (submit→durable cycles, the subsystem's
+    headline metric — p50/p99 in every snapshot), and liveness gauges
+    over the commit/log state (leader tid, tail-reservation traffic,
+    pending ops) — the group-commit amortization and checkpoint cadence
+    read straight out of one snapshot.
     """
     registry = MetricsRegistry()
     registry.register_counter("store", store.stats)

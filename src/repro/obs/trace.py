@@ -7,9 +7,9 @@ issued it, and a p99 outlier cannot be decomposed.  This module closes
 the loop:
 
 * a :class:`StoreTracer` attaches to a
-  :class:`~repro.store.store.DurableStore` or
-  :class:`~repro.store.shared.SharedLogStore` (``store.tracer``, ``None``
-  by default — the usual zero-cost-when-detached contract) and opens one
+  :class:`~repro.store.shared.SharedLogStore` of any thread count
+  (``store.tracer``, ``None`` by default — the usual
+  zero-cost-when-detached contract) and opens one
   ``store.op`` span per submitted operation and one ``store.epoch`` span
   per seal;
 * while an op's append or an epoch's marker/clean/fence sequence runs,
@@ -291,7 +291,7 @@ class StoreTracer:
         latency = durable_now - submit_now
         blame = OpBlame(
             trace_id=trace_id,
-            tid=getattr(ticket, "tid", 0),
+            tid=ticket.tid,
             lsn=ticket.lsn,
             epoch=es.key,
             submit_now=submit_now,

@@ -8,17 +8,17 @@ key-value store built from the repo's own primitives:
   (CRC + monotonic LSN), superblock, checkpoint descriptor.
 * :mod:`repro.store.wal` — the write-ahead log, written through a
   :class:`~repro.persist.api.PMemView` and sealed with CBO + fence.
-* :mod:`repro.store.commit` — group commit: N operations (or a cycle
-  budget) coalesced into one clean+fence epoch, amortizing the fence
-  and exposing the Skip-It win on log-tail rewrites.
 * :mod:`repro.store.checkpoint` — memtable compaction into a persistent
   hash-table snapshot behind an atomically flipped superblock pointer.
 * :mod:`repro.store.recovery` — superblock → checkpoint → log replay,
   tolerant of torn / invalid-CRC tail records.
-* :mod:`repro.store.store` — :class:`DurableStore`, tying it together.
-* :mod:`repro.store.shared` — :class:`SharedLogStore`: N threads on one
-  shared WAL (CAS-reserved slots), epochs sealed by a leader with one
-  cross-thread fence, ack latency as the headline metric.
+* :mod:`repro.store.shared` — :class:`SharedLogStore`, tying it
+  together: group commit (N operations, or a cycle budget, coalesced
+  into one clean+fence epoch, amortizing the fence and exposing the
+  Skip-It win on log-tail rewrites) over one thread or N threads on one
+  shared WAL (CAS-reserved slots, epochs sealed by a leader with one
+  cross-thread fence, ack latency as the headline metric).  The
+  single-writer store is ``SharedLogStore(heap, [view])``.
 * :mod:`repro.store.txn` — :class:`Transaction`: buffered multi-key
   read/write sets committed as one contiguous OP_TXN run sealed by a
   per-txn OP_TXN_COMMIT record; all-or-nothing across crashes.
@@ -42,12 +42,9 @@ from repro.store.shared import (
     SharedWriteAheadLog,
     StoreHandle,
 )
-from repro.store.store import CommitTicket, DurableStore
 from repro.store.txn import Transaction, TxnAborted, TxnTicket, ticket_lsns
 
 __all__ = [
-    "CommitTicket",
-    "DurableStore",
     "EpochSealer",
     "SharedCommitTicket",
     "SharedLogStore",

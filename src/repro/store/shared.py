@@ -1,12 +1,16 @@
-""":mod:`repro.store.shared` — one log, N threads, one fence per epoch.
+""":mod:`repro.store.shared` — the store: one log, N threads, one fence
+per epoch.
 
-The sharded baseline (:mod:`repro.workloads.store`) gives every thread a
-private :class:`~repro.store.store.DurableStore`, so every thread pays
-its own clean sequence and fence once per batch — N threads, N fences
-per group-commit interval.  That is exactly the redundant-persist
-traffic the paper exists to eliminate, just moved up a layer.
+:class:`SharedLogStore` is the repo's only store.  With one thread view
+it is the single-writer store: a private log, epochs sealed by its own
+clean sequence and fence.  The sharded baseline
+(:mod:`repro.workloads.store`, figure 17) runs one such store per thread,
+so every thread pays its own clean sequence and fence once per batch —
+N threads, N fences per group-commit interval.  That is exactly the
+redundant-persist traffic the paper exists to eliminate, just moved up
+a layer.
 
-This module shares the log instead:
+With N > 1 views the threads share the log instead:
 
 * **Shared WAL** — all threads append CRC+LSN records into one circular
   log.  Slot reservation is a CAS-bumped tail word on the shared cache
@@ -28,12 +32,21 @@ This module shares the log instead:
   (:attr:`SharedLogStore.ack_latency`) are the subsystem's headline
   metric, exported as obs histograms with p50/p99 summaries.
 
-Durability contract, recovery format, checkpointing and the journal
-prefix oracle are unchanged from the private-log store: epochs are
-atomic, recovery replays the shared log in LSN order (interleaved
-epochs replay exactly like single-threaded ones, because the CAS tail
-makes LSN order the submission order), and
-:func:`repro.store.recovery.recover` works on the shared log unmodified.
+Durability contract: ``put``/``delete`` return a ticket; the operation
+is *durable* once ``ticket.acked`` is True (its epoch's fence retired —
+on whichever thread sealed it).  Before that it may or may not survive
+a crash: epochs apply atomically, so recovery surfaces either the whole
+epoch or none of it, and never anything beyond the last *initiated*
+epoch marker.  ``get`` reads the shared memtable, so reads see every
+thread's submitted-but-unacked writes.  Recovery replays the log in LSN
+order (interleaved epochs replay exactly like single-threaded ones,
+because the CAS tail makes LSN order the submission order), so
+:func:`repro.store.recovery.recover` serves every thread count.
+
+The store does its own explicit cleans and fences (that is the whole
+point), so it is meant to run with the ``none`` persistence policy;
+automatic policies would add per-access flushes on top and drown the
+group-commit signal.
 
 Virtual-time note: scheduler steps are atomic, so the tail CAS never
 *fails* in the model — it buys the coherence traffic and latency of the
@@ -94,7 +107,6 @@ class SharedWriteAheadLog(WriteAheadLog):
     def __init__(self, layout: StoreLayout, tail_addr: int) -> None:
         super().__init__(layout)
         self.tail_addr = tail_addr
-        self.tail_cas_failures = 0
 
     def reserve(self, view: PMemView) -> int:
         current = view.read(self.tail_addr)
@@ -128,7 +140,7 @@ class SharedWriteAheadLog(WriteAheadLog):
     def reset_tail(self, view: PMemView, lsn: int) -> None:
         """Re-point the tail word after adoption (transient state)."""
         view.write(self.tail_addr, lsn)
-        self.next_lsn = lsn + 1
+        super().reset_tail(view, lsn)
 
 
 class EpochSealer:
@@ -243,7 +255,12 @@ class EpochSealer:
         if tracer is not None:
             tracer.seal_cleaned(epoch, view.ctx.now)
 
-        if "shared_ack_before_fence" in store.mutants:
+        mutants = store.mutants
+        if "store_ack_before_fence" in mutants:
+            # seeded bug: acknowledge while the epoch's writebacks are
+            # still in flight — a crash in that window loses acked ops
+            self._acknowledge(batch, marker_lsn, view, epoch)
+        elif "shared_ack_before_fence" in mutants:
             # seeded bug: the leader treats its fence as covering only
             # its own records and acks the followers' tickets while the
             # epoch's writebacks are still in flight — a crash in that
@@ -255,7 +272,9 @@ class EpochSealer:
         store.probe_point("epoch_flushed")
         if store.ranged_seal:
             # the range is one ordering token: wait for its sweep's
-            # writebacks instead of issuing a FENCE (see GroupCommitter)
+            # writebacks to land instead of issuing a FENCE — atomicity
+            # still comes from the marker + CRC/LSN chain, so the
+            # cheaper completion wait gives the same durability promise
             waited_from = view.ctx.now
             view.ctx.await_writebacks()
             store.stats.inc("store_ranged_seals")
@@ -333,19 +352,22 @@ class StoreHandle:
 
 
 class SharedLogStore:
-    """Crash-consistent KV store shared by N virtual-time threads.
+    """Crash-consistent KV store over one or more virtual-time threads.
 
     ``views`` binds the store to its threads: ``views[tid]`` is thread
     *tid*'s :class:`~repro.persist.api.PMemView` (all over one heap and
-    one optimizer, as the sharded benchmark already does).  Every
-    mutating call takes the acting ``tid`` first; :meth:`handle` returns
-    a tid-bound facade.
-
-    The durability contract matches :class:`~repro.store.store.DurableStore`:
-    an op is durable once its ticket is acked (its epoch's fence retired
-    — on whichever thread sealed it); ``get`` reads the shared memtable,
-    so reads see every thread's submitted-but-unacked writes.
+    one optimizer).  Every mutating call takes the acting ``tid`` first;
+    :meth:`handle` returns a tid-bound facade.  ``SharedLogStore(heap,
+    [view])`` is the single-writer store: tid 0 is its only thread.
     """
+
+    #: thread count from which slots are CAS-reserved off a shared tail
+    #: word and leadership lives in a shared leader word.  Below it the
+    #: log is private: a lone thread has no one to race and is always
+    #: the leader, so it appends with plain bookkeeping.  Figure 18's
+    #: scaling sweep lowers it to 1, so its one-thread point runs the
+    #: same protocol as its N-thread points.
+    shared_tail_from = 2
 
     def __init__(
         self,
@@ -380,11 +402,14 @@ class SharedLogStore:
             )
         elif layout.field_stride != stride:
             raise ValueError("layout stride does not match the views' optimizer")
-        # an epoch may overshoot by one record per thread (leader grace
-        # round) and needs marker + one op of slack on top
-        if batch_size * len(views) + len(views) + 2 > layout.log_capacity:
+        threads = len(views)
+        # an epoch needs marker + one op of slack on top of its records;
+        # with several threads it may also overshoot by one record per
+        # thread (leader grace round), which a lone thread never does
+        grace = threads if threads > 1 else 0
+        if batch_size * threads + grace + 2 > layout.log_capacity:
             raise ValueError(
-                f"epoch of {batch_size} ops x {len(views)} threads does "
+                f"epoch of {batch_size} ops x {threads} threads does "
                 f"not fit a {layout.log_capacity}-slot log"
             )
         self.heap = heap
@@ -396,12 +421,16 @@ class SharedLogStore:
         #: policy knob: seal epochs (and publish checkpoints) with
         #: CBO.RANGE sweeps instead of per-line clean loops + fences
         self.ranged_seal = ranged_seal
-        # transient coordination words, one line each: the CAS-bumped
-        # tail and the leader claim (recovery never reads either)
-        tail_addr = heap.alloc_region(heap.line_bytes)
-        self.leader_addr = heap.alloc_region(heap.line_bytes)
-        self.views[0].write(self.leader_addr, 1)  # leader_tid 0, 1-based
-        self.wal = SharedWriteAheadLog(layout, tail_addr)
+        self.leader_addr: Optional[int] = None
+        if threads >= self.shared_tail_from:
+            # transient coordination words, one line each: the CAS-bumped
+            # tail and the leader claim (recovery never reads either)
+            tail_addr = heap.alloc_region(heap.line_bytes)
+            self.leader_addr = heap.alloc_region(heap.line_bytes)
+            self.views[0].write(self.leader_addr, 1)  # leader_tid 0, 1-based
+            self.wal: WriteAheadLog = SharedWriteAheadLog(layout, tail_addr)
+        else:
+            self.wal = WriteAheadLog(layout)
         self.sealer = EpochSealer(self, batch_size, cycle_budget)
         self.checkpointer = CheckpointManager(self)
         self.checkpoint_every = checkpoint_every
@@ -615,11 +644,18 @@ class SharedLogStore:
     def adopt(self, state: RecoveredState, tid: int = 0) -> None:
         """Resume from a recovered image (same layout, same regions).
 
-        Same protocol as :meth:`DurableStore.adopt` — erase the stale
-        log tail, fence, checkpoint — plus re-pointing the transient
-        tail word at ``applied_lsn`` so reservation resumes there.
+        Re-points the log tail (and the shared tail word, if any) at
+        ``applied_lsn`` so reservation resumes there, then erases the
+        stale log tail: pre-crash records beyond ``applied_lsn`` carry
+        LSNs this instance will hand out again, and a CRC-valid stale
+        record must never satisfy a future replay.  Finally fences and
+        seals recovery with a fresh checkpoint, so the durable watermark
+        is at ``applied_lsn`` before new traffic.
+
+        Only a store that never reserved a slot may adopt: rewinding a
+        used tail would hand its LSNs out twice.
         """
-        if self.memtable or self.wal.records_appended:
+        if self.memtable or self.wal.next_lsn != 1:
             raise RuntimeError("adopt() requires a fresh store instance")
         view = self.views[tid]
         self.memtable = dict(state.items)
@@ -640,8 +676,13 @@ class SharedLogStore:
 
     # ---------------------------------------------------------- benchmark
     def reset_measurement(self) -> None:
-        """Zero measurement counters and all thread clocks (see
-        :meth:`DurableStore.reset_measurement`); durable state stays."""
+        """Zero every measurement-facing counter and all thread clocks.
+
+        Benchmarks prefill and checkpoint before measuring; this discards
+        the prefill's traffic (stats, WAL counters, flush requests) and
+        rewinds the virtual clocks so throughput starts from cycle zero.
+        Durable state (log, memtable, LSNs) is untouched.
+        """
         self.stats.reset()
         # store_commits restarts from zero, so the periodic-checkpoint
         # baseline must too (no-op when checkpoint_every is disabled)

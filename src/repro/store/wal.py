@@ -1,7 +1,8 @@
 """Write-ahead log: append records through a PMemView, seal with CBO.
 
-The WAL only *writes*; making records durable is the group committer's
-job (:mod:`repro.store.commit`), which cleans whole epochs at once.
+The WAL only *writes*; making records durable is the epoch sealer's
+job (:class:`repro.store.shared.EpochSealer`), which cleans whole
+epochs at once.
 Separating append from seal is the point of the exercise: per-record
 flushes are what the paper's fence costs punish.
 """
@@ -31,6 +32,9 @@ class WriteAheadLog:
         self.next_lsn = 1
         self.records_appended = 0
         self.bytes_appended = 0
+        #: failed tail CASes while reserving; only the shared tail of
+        #: :class:`repro.store.shared.SharedWriteAheadLog` can retry
+        self.tail_cas_failures = 0
         # test/oracle hook: called as (lsn, op, key, value) on every
         # append, before any of the record's words hit the cache
         self.on_append: Optional[Callable[[int, int, int, int], None]] = None
@@ -38,7 +42,7 @@ class WriteAheadLog:
     def reserve(self, view: PMemView) -> int:
         """Claim the next slot; returns its LSN.
 
-        The private-log base case is plain bookkeeping; the shared log
+        The single-writer base case is plain bookkeeping; the shared log
         (:class:`repro.store.shared.SharedWriteAheadLog`) overrides this
         with a CAS-bumped tail word on the shared cache hierarchy.
         """
@@ -58,6 +62,10 @@ class WriteAheadLog:
         first = self.next_lsn
         self.next_lsn += count
         return first
+
+    def reset_tail(self, view: PMemView, lsn: int) -> None:
+        """Resume reservation after *lsn* (recovery adoption)."""
+        self.next_lsn = lsn + 1
 
     def append(self, view: PMemView, op: int, key: int, value: int) -> int:
         """Write one record into the next slot; returns its LSN.

@@ -15,23 +15,26 @@
 3. **Differential fuzzing** — a few seeded cross-model cases
    (``--fuzz N`` runs more; a failing case is shrunk to a minimal
    reproducer and reported with its seed).
-4. **Store crash sweep** — the :mod:`repro.store` durable KV store
-   driven through its crash-point sweep
-   (:class:`~repro.verify.store.StoreCrashSweep`): every optimizer x
-   group-commit {1, 8, 64}, checking at every protocol boundary
-   (including mid-writeback windows) that acknowledged commits survive,
-   nothing beyond the last initiated epoch surfaces, and the recovered
-   state equals the journal prefix.
-5. **Shared-log crash sweep** — the same contract over
-   :class:`~repro.verify.store.SharedStoreCrashSweep`: N threads
-   interleaving appends into one shared WAL, epochs sealed by a leader
-   whose single fence must cover every thread's records; crashes at
-   every seal boundary and writeback-completion window.
-6. **Ranged seal crash sweep** — the store sweep again with
-   ``ranged_seal`` on (:func:`~repro.verify.store.run_ranged_store_sweep`):
-   epochs sealed by one ``CBO.RANGE.CLEAN`` over the log span plus a
-   completion wait; the mid-range crash windows enumerate every cursor
-   position of the sweep, every optimizer x group-commit {1, 8, 64}.
+4. **Store crash sweep** — the :mod:`repro.store` durable KV store as
+   a single writer (a one-thread
+   :class:`~repro.store.shared.SharedLogStore`) driven through its
+   crash-point sweep (:func:`~repro.verify.store.run_store_sweep`, i.e.
+   :class:`~repro.verify.store.SharedStoreCrashSweep` with
+   ``threads=1``): every optimizer x group-commit {1, 8, 64}, checking
+   at every protocol boundary (including mid-writeback windows) that
+   acknowledged commits survive, nothing beyond the last initiated
+   epoch surfaces, and the recovered state equals the journal prefix.
+5. **Shared-log crash sweep** — the same contract and the same sweep
+   class with 3 threads (:func:`~repro.verify.store.run_shared_store_sweep`):
+   N threads interleaving appends into one shared WAL, epochs sealed by
+   a leader whose single fence must cover every thread's records;
+   crashes at every seal boundary and writeback-completion window.
+6. **Ranged seal crash sweep** — the single-writer store sweep again
+   with ``ranged_seal`` on
+   (:func:`~repro.verify.store.run_ranged_store_sweep`): epochs sealed
+   by one ``CBO.RANGE.CLEAN`` over the log span plus a completion wait;
+   the mid-range crash windows enumerate every cursor position of the
+   sweep, every optimizer x group-commit {1, 8, 64}.
 7. **Serve session sweep** — the serving tier's contracts over
    :class:`~repro.verify.serve.ServeCrashSweep`: sessions driving a
    :class:`~repro.serve.tier.ServeTier` (admission control engaged,

@@ -12,6 +12,12 @@ test-only switches:
   only dirty copy).
 * **Soc mutants** monkeypatch the cycle-level model inside a context
   manager, since the RTL-ish code has no test hooks.
+* **Store-level mutants** (store, shared-log, serve, transaction) are
+  names passed as ``mutants=(name,)`` to a crash sweep.  They land in
+  the one store's :attr:`~repro.store.shared.SharedLogStore.mutants`
+  (or the serving tier's) for the epoch seal, txn commit and admission
+  paths to consult, or flip a replay flag on
+  :func:`repro.store.recovery.recover`.
 
 ``tests/test_verify_oracle.py`` asserts every mutant listed here makes
 the corresponding injector report violations — the oracle's self-test.
@@ -77,14 +83,16 @@ SOC_MUTANTS: Dict[str, str] = {
 }
 
 
-#: store mutants: seeded application-level bugs the store crash sweep
-#: (:class:`repro.verify.store.StoreCrashSweep`) must turn red on.
-#: Inject by passing ``mutants=(name,)`` to the sweep: ack-before-fence
-#: flows into :attr:`DurableStore.mutants`, the replay mutant flips
+#: store mutants: seeded application-level bugs the single-writer store
+#: crash sweep (:class:`repro.verify.store.SharedStoreCrashSweep` with
+#: ``threads=1``) must turn red on.  Inject by passing ``mutants=(name,)``
+#: to the sweep: ack-before-fence flows into
+#: :attr:`repro.store.shared.SharedLogStore.mutants` (read by
+#: :meth:`repro.store.shared.EpochSealer.seal`), the replay mutant flips
 #: ``check_lsn=False`` on :func:`repro.store.recovery.recover`.
 STORE_MUTANTS: Dict[str, str] = {
     "store_ack_before_fence": (
-        "group commit acknowledges its tickets before the epoch's fence "
+        "the epoch seal acknowledges its tickets before the epoch's fence "
         "retires, so a crash in the in-flight writeback window loses "
         "acknowledged operations"
     ),
@@ -96,7 +104,7 @@ STORE_MUTANTS: Dict[str, str] = {
 }
 
 
-#: shared-log mutants: seeded bugs the *shared* crash sweep
+#: shared-log mutants: seeded bugs the multi-thread crash sweep
 #: (:class:`repro.verify.store.SharedStoreCrashSweep`) must turn red on.
 #: Same injection path (``mutants=(name,)`` on the sweep, flowing into
 #: :attr:`SharedLogStore.mutants`).
@@ -128,9 +136,9 @@ SERVE_MUTANTS: Dict[str, str] = {
 }
 
 
-#: transaction mutants: seeded bugs the stage-8 txn sweeps
-#: (:class:`repro.verify.txn.TxnCrashSweep` /
-#: :class:`repro.verify.txn.SharedTxnCrashSweep`) must turn red on.
+#: transaction mutants: seeded bugs the stage-8 txn sweep
+#: (:class:`repro.verify.txn.SharedTxnCrashSweep`, one thread or three)
+#: must turn red on.
 #: ``txn_commit_before_fence`` flows into the store's ``mutants`` set;
 #: ``txn_partial_replay`` flips ``txn_partial=True`` on
 #: :func:`repro.store.recovery.recover`.

@@ -16,8 +16,9 @@ needs an *application-level* contract on top:
   epochs, no torn records applied, no stale resurrections.
 
 The sweep drives a seeded workload through a real
-:class:`~repro.store.store.DurableStore` and evaluates the contract at
-every protocol boundary the store exposes (submit, epoch flush, fence
+:class:`~repro.store.shared.SharedLogStore` — one thread, or N threads
+interleaving on the shared log — and evaluates the contract at every
+protocol boundary the store exposes (submit, epoch flush, fence
 retirement, each checkpoint stage).  At the two boundaries with real
 in-flight writeback windows — after an epoch's cleans and after the
 superblock flip — it additionally enumerates a crash at every distinct
@@ -39,7 +40,6 @@ from repro.persist.structures.base import persisted_reader
 from repro.store.layout import OP_DELETE, OP_PUT, OP_TXN, OP_TXN_COMMIT
 from repro.store.recovery import RecoveryError, recover
 from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 from repro.verify.injector import MAX_VIOLATIONS, timing_crash_image
@@ -285,96 +285,10 @@ def crash_probe(
     return probe
 
 
-class StoreCrashSweep:
-    """Drive one (optimizer, group-commit) config through a crash sweep."""
-
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        ops: int = 48,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-        ranged_seal: bool = False,
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.ops = ops
-        self.seed = seed
-        # the log must hold a full batch; small enough that long sweeps
-        # wrap (wrap + stale-tail handling is part of what we verify)
-        self.log_capacity = log_capacity or max(40, 2 * group_commit + 8)
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-        self.ranged_seal = ranged_seal
-
-    def run(self) -> StoreSweepReport:
-        config = f"{self.optimizer}/gc={self.group_commit}"
-        if self.ranged_seal:
-            config = f"ranged/{config}"
-        report = StoreSweepReport(config=config)
-        params = TimingParams(
-            num_threads=1, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        view = PMemView(
-            system.threads[0],
-            make_policy("none"),
-            make_optimizer(self.optimizer, heap),
-        )
-        store = DurableStore(
-            heap,
-            view,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-            ranged_seal=self.ranged_seal,
-        )
-        oracle = StoreOracle()
-        store.wal.on_append = oracle.observe
-        # hardware-level mutants (the truncated-sweep bug) live in the
-        # timing model's flag set, not the store's
-        system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
-        store.mutants.update(
-            m
-            for m in self.mutants
-            if m != "store_replay_trusts_crc" and m not in TIMING_MUTANTS
-        )
-
-        store.probe = crash_probe(
-            report,
-            system,
-            store,
-            oracle,
-            check_lsn="store_replay_trusts_crc" not in self.mutants,
-        )
-        rng = random.Random(self.seed)
-        next_value = 1
-        for _ in range(self.ops):
-            key = rng.randint(1, self.key_range)
-            if rng.random() < 0.7:
-                store.put(key, 1_000_000 + next_value)
-                next_value += 1
-            else:
-                store.delete(key)
-        store.sync()
-        store.checkpoint()
-        return report
-
-
 class SharedStoreCrashSweep:
-    """Crash-sweep one (optimizer, group-commit) shared-log config.
+    """Crash-sweep one (optimizer, group-commit, threads) store config.
 
-    Same contract and oracle as :class:`StoreCrashSweep`, but the
+    With ``threads=1`` this is the single-writer store.  With more, the
     journal is written by N virtual-time threads interleaving their
     appends into one :class:`~repro.store.shared.SharedLogStore` —
     round-robin here, which still exercises cross-thread sealing because
@@ -406,8 +320,13 @@ class SharedStoreCrashSweep:
         self.threads = threads
         self.ops = ops
         self.seed = seed
-        self.log_capacity = log_capacity or max(
-            48, 2 * group_commit * threads + 2 * threads + 8
+        # the log must hold a full epoch (with several threads, plus a
+        # grace round); small enough that long sweeps wrap (wrap +
+        # stale-tail handling is part of what we verify)
+        self.log_capacity = log_capacity or (
+            max(40, 2 * group_commit + 8)
+            if threads == 1
+            else max(48, 2 * group_commit * threads + 2 * threads + 8)
         )
         self.checkpoint_every = checkpoint_every
         self.num_buckets = num_buckets
@@ -416,10 +335,9 @@ class SharedStoreCrashSweep:
         self.ranged_seal = ranged_seal
 
     def run(self) -> StoreSweepReport:
-        config = (
-            f"shared/{self.optimizer}/gc={self.group_commit}"
-            f"/t={self.threads}"
-        )
+        config = f"{self.optimizer}/gc={self.group_commit}"
+        if self.threads > 1:
+            config = f"shared/{config}/t={self.threads}"
         if self.ranged_seal:
             config = f"ranged/{config}"
         report = StoreSweepReport(config=config)
@@ -445,6 +363,8 @@ class SharedStoreCrashSweep:
         )
         oracle = StoreOracle()
         store.wal.on_append = oracle.observe
+        # hardware-level mutants (the truncated-sweep bug) live in the
+        # timing model's flag set, not the store's
         system.mutants.update(m for m in self.mutants if m in TIMING_MUTANTS)
         store.mutants.update(
             m
@@ -501,12 +421,13 @@ def run_store_sweep(
     ops: int = 48,
     seed: int = 0,
 ) -> List[Tuple[str, StoreSweepReport]]:
-    """The full optimizer x batch-size store sweep (verify CLI stage)."""
+    """The full optimizer x batch-size single-writer store sweep (verify
+    CLI stage)."""
     results = []
     for optimizer in optimizers:
         for group_commit in group_commits:
-            sweep = StoreCrashSweep(
-                optimizer, group_commit, ops=ops, seed=seed
+            sweep = SharedStoreCrashSweep(
+                optimizer, group_commit, threads=1, ops=ops, seed=seed
             )
             report = sweep.run()
             results.append((report.config, report))
@@ -531,9 +452,10 @@ def run_ranged_store_sweep(
     results = []
     for optimizer in optimizers:
         for group_commit in group_commits:
-            sweep = StoreCrashSweep(
+            sweep = SharedStoreCrashSweep(
                 optimizer,
                 group_commit,
+                threads=1,
                 ops=ops,
                 seed=seed,
                 ranged_seal=True,

@@ -21,10 +21,10 @@ at every crash point checks, per transaction:
 Both tests lean on the sweep workload's unique put values: a value
 seen in the recovered map identifies exactly one journaled write.
 
-The sweeps drive mixed plain/transactional workloads through a real
-:class:`~repro.store.store.DurableStore` (:class:`TxnCrashSweep`) and
-a 3-thread :class:`~repro.store.shared.SharedLogStore`
-(:class:`SharedTxnCrashSweep`), probing every reserve / append /
+The sweep (:class:`SharedTxnCrashSweep`) drives mixed
+plain/transactional workloads through a real
+:class:`~repro.store.shared.SharedLogStore` — one thread, or three on
+the shared log — probing every reserve / append /
 commit / seal / checkpoint boundary, with writeback-completion
 sub-windows at the two boundaries that have real in-flight windows —
 the same discipline as stages 4–5.
@@ -41,7 +41,6 @@ from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.store.layout import OP_TXN, OP_TXN_COMMIT
 from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 from repro.verify.oracle import Violation
@@ -184,89 +183,14 @@ def _drive_workload(rng: random.Random, clients, ops: int, key_range: int) -> No
             txn.commit()
 
 
-class TxnCrashSweep:
-    """Crash-sweep transactions on a private-log :class:`DurableStore`."""
-
-    def __init__(
-        self,
-        optimizer: str = "skipit",
-        group_commit: int = 8,
-        *,
-        ops: int = 36,
-        seed: int = 0,
-        log_capacity: Optional[int] = None,
-        checkpoint_every: int = 3,
-        num_buckets: int = 16,
-        key_range: int = 24,
-        mutants: Sequence[str] = (),
-    ) -> None:
-        self.optimizer = optimizer
-        self.group_commit = group_commit
-        self.ops = ops
-        self.seed = seed
-        # must hold a full batch of txn tickets (a ticket can span five
-        # slots) plus marker slack; small enough that sweeps wrap
-        self.log_capacity = log_capacity or max(64, 5 * group_commit + 8)
-        self.checkpoint_every = checkpoint_every
-        self.num_buckets = num_buckets
-        self.key_range = key_range
-        self.mutants = tuple(mutants)
-
-    def run(self) -> StoreSweepReport:
-        report = StoreSweepReport(
-            config=f"txn/{self.optimizer}/gc={self.group_commit}"
-        )
-        params = TimingParams(
-            num_threads=1, skip_it=(self.optimizer == "skipit")
-        )
-        system = TimingSystem(params)
-        heap = SimHeap(params.line_bytes)
-        view = PMemView(
-            system.threads[0],
-            make_policy("none"),
-            make_optimizer(self.optimizer, heap),
-        )
-        store = DurableStore(
-            heap,
-            view,
-            log_capacity=self.log_capacity,
-            batch_size=self.group_commit,
-            checkpoint_every=self.checkpoint_every,
-            num_buckets=self.num_buckets,
-        )
-        oracle = TxnOracle()
-        store.wal.on_append = oracle.observe
-        store.mutants.update(
-            m for m in self.mutants if m not in _REPLAY_MUTANTS
-        )
-
-        store.probe = crash_probe(
-            report,
-            system,
-            store,
-            oracle,
-            check_lsn="store_replay_trusts_crc" not in self.mutants,
-            txn_partial="txn_partial_replay" in self.mutants,
-        )
-        rng = random.Random(self.seed)
-        _drive_workload(
-            rng,
-            [(store.put, store.delete, store.begin)],
-            self.ops,
-            self.key_range,
-        )
-        store.sync()
-        store.checkpoint()
-        return report
-
-
 class SharedTxnCrashSweep:
-    """Crash-sweep transactions on a 3-thread :class:`SharedLogStore`.
+    """Crash-sweep transactions on a :class:`SharedLogStore`.
 
-    What is new under test beyond :class:`TxnCrashSweep`: the
-    CAS-reserved contiguous run really is contiguous under interleaved
-    multi-thread appends, and the sealing thread's single fence covers
-    txn records written (and left dirty) by every other thread's L1.
+    With ``threads=1`` this is the single-writer store.  What more
+    threads add under test: the CAS-reserved contiguous run really is
+    contiguous under interleaved multi-thread appends, and the sealing
+    thread's single fence covers txn records written (and left dirty)
+    by every other thread's L1.
     """
 
     def __init__(
@@ -289,9 +213,12 @@ class SharedTxnCrashSweep:
         self.ops = ops
         self.seed = seed
         # an epoch is batch_size tickets per thread, each up to five
-        # slots wide, plus leader-grace overshoot and marker slack
-        self.log_capacity = log_capacity or max(
-            96, 5 * group_commit * threads + 5 * threads + 8
+        # slots wide, plus marker slack (and, with several threads,
+        # leader-grace overshoot); small enough that sweeps wrap
+        self.log_capacity = log_capacity or (
+            max(64, 5 * group_commit + 8)
+            if threads == 1
+            else max(96, 5 * group_commit * threads + 5 * threads + 8)
         )
         self.checkpoint_every = checkpoint_every
         self.num_buckets = num_buckets
@@ -299,12 +226,12 @@ class SharedTxnCrashSweep:
         self.mutants = tuple(mutants)
 
     def run(self) -> StoreSweepReport:
-        report = StoreSweepReport(
-            config=(
-                f"txn-shared/{self.optimizer}/gc={self.group_commit}"
-                f"/t={self.threads}"
-            )
-        )
+        config = f"{self.optimizer}/gc={self.group_commit}"
+        if self.threads > 1:
+            config = f"txn-shared/{config}/t={self.threads}"
+        else:
+            config = f"txn/{config}"
+        report = StoreSweepReport(config=config)
         params = TimingParams(
             num_threads=self.threads, skip_it=(self.optimizer == "skipit")
         )
@@ -363,7 +290,7 @@ def run_txn_sweep(
 
     Runs on the shared log — the harder configuration: contiguous-run
     reservation under interleaving plus cross-thread sealing.  The
-    private-log :class:`TxnCrashSweep` is exercised by the unit tier.
+    single-writer store (``threads=1``) is exercised by the unit tier.
     """
     results = []
     for optimizer in optimizers:

@@ -1,10 +1,12 @@
-"""Durable-store throughput driver (the group-commit figure).
+"""Durable-store throughput drivers (the group-commit figures 17/18).
 
-Runs per-thread :class:`~repro.store.store.DurableStore` shards (one
-log + memtable per thread, all on one shared cache hierarchy) under a
-mixed put/delete/get workload on virtual-time threads, and reports
-throughput plus the persistence traffic the sweep is about: fences,
-CBOs issued vs skipped, log bytes, commit batches.
+:class:`StoreBenchmark` runs per-thread shards — one single-writer
+:class:`~repro.store.shared.SharedLogStore` (one log + memtable) per
+thread, all on one shared cache hierarchy; :class:`SharedStoreBenchmark`
+runs every thread on one shared log.  Both drive the same mixed
+put/delete/get workload on virtual-time threads and report throughput
+plus the persistence traffic the sweeps are about: fences, CBOs issued
+vs skipped, log bytes, commit batches.
 
 The store runs with the ``none`` policy — it does its own cleans and
 fences (that is the subsystem's job); an automatic policy on top would
@@ -17,16 +19,48 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.obs.attach import shared_store_registry, store_registry, timing_registry
+from repro.obs.attach import shared_store_registry, timing_registry
 from repro.persist.api import PMemView
 from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.scheduler import VirtualTimeScheduler
 from repro.timing.system import TimingSystem
+
+
+def _mixed_step(store: SharedLogStore, tid: int, seed: int, key_range: int):
+    """Thread *tid*'s step: 60% put, 20% delete, 20% get on random keys.
+
+    Each thread writes from its own value space, which keeps the
+    oracle's lost/ghost distinction sharp even when threads race on one
+    key.
+    """
+    rng = random.Random(seed)
+    next_value = key_range * 2 + tid * 10_000_000
+
+    def step(ctx) -> None:
+        nonlocal next_value
+        r = rng.random()
+        key = rng.randint(1, key_range)
+        if r < 0.6:
+            next_value += 1
+            store.put(tid, key, next_value)
+        elif r < 0.8:
+            store.delete(tid, key)
+        else:
+            store.get(tid, key)
+
+    return step
+
+
+class _ScalingLogStore(SharedLogStore):
+    """Figure 18's store: the shared tail and leader words even at one
+    thread, so the sweep's t=1 point runs the protocol its t=N points
+    scale."""
+
+    shared_tail_from = 1
 
 
 @dataclass
@@ -95,9 +129,9 @@ class StoreBenchmark:
         )
         policy = make_policy("none")
         stores = [
-            DurableStore(
+            SharedLogStore(
                 heap,
-                PMemView(ctx, policy, optimizer),
+                [PMemView(ctx, policy, optimizer)],
                 log_capacity=self.log_capacity,
                 batch_size=self.group_commit,
                 num_buckets=self.num_buckets,
@@ -114,7 +148,7 @@ class StoreBenchmark:
             for key in rng.sample(
                 range(1, self.key_range + 1), self.key_range // 2
             ):
-                store.put(key, key + self.key_range)
+                store.put(0, key, key + self.key_range)
             store.checkpoint()
         system.persist_all()
         optimizer.declare_persisted(system)
@@ -123,8 +157,8 @@ class StoreBenchmark:
             store.reset_measurement()
 
         steps = [
-            self._make_step(store, self.seed + 7 * tid)
-            for tid, store in enumerate(stores)
+            _mixed_step(store, 0, self.seed + 7 * shard, self.key_range)
+            for shard, store in enumerate(stores)
         ]
         scheduler = VirtualTimeScheduler(system)
         result = scheduler.run(steps, duration=duration, warmup=0)
@@ -135,7 +169,7 @@ class StoreBenchmark:
         registry = timing_registry(system)
         snapshot = registry.snapshot()
         for tid, store in enumerate(stores):
-            snapshot[f"store.t{tid}"] = store_registry(store).snapshot()
+            snapshot[f"store.t{tid}"] = shared_store_registry(store).snapshot()
 
         def total(name: str) -> int:
             return sum(s.stats.get(name) for s in stores)
@@ -163,25 +197,6 @@ class StoreBenchmark:
             cbo_range_skipped=stats.get("cbo_range_line_skipped", 0),
             metrics=snapshot,
         )
-
-    def _make_step(self, store: DurableStore, seed: int):
-        rng = random.Random(seed)
-        key_range = self.key_range
-        next_value = key_range * 2
-
-        def step(ctx) -> None:
-            nonlocal next_value
-            r = rng.random()
-            key = rng.randint(1, key_range)
-            if r < 0.6:
-                next_value += 1
-                store.put(key, next_value)
-            elif r < 0.8:
-                store.delete(key)
-            else:
-                store.get(key)
-
-        return step
 
 
 @dataclass
@@ -265,7 +280,7 @@ class SharedStoreBenchmark:
             PMemView(ctx, policy, optimizer)
             for ctx in system.threads[: self.threads]
         ]
-        store = SharedLogStore(
+        store = _ScalingLogStore(
             heap,
             views,
             log_capacity=self.log_capacity,
@@ -290,7 +305,7 @@ class SharedStoreBenchmark:
             tracer.attach(store, system)
 
         steps = [
-            self._make_step(store, tid, self.seed + 7 * tid)
+            _mixed_step(store, tid, self.seed + 7 * tid, self.key_range)
             for tid in range(self.threads)
         ]
         scheduler = VirtualTimeScheduler(system)
@@ -335,24 +350,3 @@ class SharedStoreBenchmark:
             cbo_range_skipped=stats.get("cbo_range_line_skipped", 0),
             metrics=snapshot,
         )
-
-    def _make_step(self, store: SharedLogStore, tid: int, seed: int):
-        rng = random.Random(seed)
-        key_range = self.key_range
-        # disjoint value spaces keep the oracle's lost/ghost distinction
-        # sharp even when threads race on one key
-        next_value = key_range * 2 + tid * 10_000_000
-
-        def step(ctx) -> None:
-            nonlocal next_value
-            r = rng.random()
-            key = rng.randint(1, key_range)
-            if r < 0.6:
-                next_value += 1
-                store.put(tid, key, next_value)
-            elif r < 0.8:
-                store.delete(tid, key)
-            else:
-                store.get(tid, key)
-
-        return step

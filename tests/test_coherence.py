@@ -1,28 +1,9 @@
-"""Unit tests for MESI mapping and the full-map directory."""
+"""Unit tests for the full-map directory."""
 
 import pytest
 
 from repro.coherence.directory import DirectoryEntry
-from repro.coherence.mesi import MesiState, mesi_state
 from repro.tilelink.permissions import Perm
-
-
-class TestMesi:
-    def test_modified(self):
-        assert mesi_state(Perm.TRUNK, dirty=True) is MesiState.MODIFIED
-
-    def test_exclusive(self):
-        assert mesi_state(Perm.TRUNK, dirty=False) is MesiState.EXCLUSIVE
-
-    def test_shared(self):
-        assert mesi_state(Perm.BRANCH, dirty=False) is MesiState.SHARED
-
-    def test_invalid(self):
-        assert mesi_state(Perm.NONE, dirty=False) is MesiState.INVALID
-
-    def test_dirty_shared_is_illegal(self):
-        with pytest.raises(ValueError):
-            mesi_state(Perm.BRANCH, dirty=True)
 
 
 class TestDirectoryEntry:

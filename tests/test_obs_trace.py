@@ -37,7 +37,6 @@ from repro.persist.flushopt import make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.store.shared import SharedLogStore
-from repro.store.store import DurableStore
 from repro.timing.params import TimingParams
 from repro.timing.system import TimingSystem
 from repro.workloads.store import SharedStoreBenchmark
@@ -63,7 +62,7 @@ def _private_store(batch_size=4):
     opt = make_optimizer("skipit", heap, 1024)
     policy = make_policy("none")
     view = PMemView(system.threads[0], policy, opt)
-    store = DurableStore(heap, view, batch_size=batch_size)
+    store = SharedLogStore(heap, [view], batch_size=batch_size)
     return store, system
 
 
@@ -94,7 +93,7 @@ class TestBlameExactness:
     def test_private_store_blame_sums_exactly(self):
         store, system = _private_store(batch_size=4)
         tracer = StoreTracer().attach(store, system)
-        tickets = [store.put(k, k + 10) for k in range(1, 13)]
+        tickets = [store.put(0, k, k + 10) for k in range(1, 13)]
         store.sync()
         assert all(t.acked for t in tickets)
         assert len(tracer.records) == len(tickets)

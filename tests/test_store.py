@@ -1,16 +1,21 @@
-"""Unit and integration tests for the :mod:`repro.store` subsystem."""
+"""Unit and integration tests for the :mod:`repro.store` subsystem.
+
+The store here is the single-writer one: a
+:class:`~repro.store.shared.SharedLogStore` over one thread view
+(tid 0); :mod:`tests.test_store_shared` covers N threads.
+"""
 
 import pytest
 
-from repro.obs.attach import store_registry
+from repro.obs.attach import shared_store_registry
 from repro.persist.api import PMemView
 from repro.persist.flushopt import OPTIMIZER_NAMES, make_optimizer
 from repro.persist.heap import SimHeap
 from repro.persist.policies import make_policy
 from repro.persist.structures.base import persisted_reader
 from repro.store import (
-    DurableStore,
     RecoveryError,
+    SharedLogStore,
     StoreLayout,
     record_crc,
     recover,
@@ -29,7 +34,7 @@ def mk_store(optimizer="skipit", **kwargs):
     )
     kwargs.setdefault("log_capacity", 64)
     kwargs.setdefault("num_buckets", 16)
-    store = DurableStore(heap, view, **kwargs)
+    store = SharedLogStore(heap, [view], **kwargs)
     return system, heap, view, store
 
 
@@ -61,22 +66,22 @@ class TestLayout:
             view.ctx, make_policy("none"), make_optimizer("flit-adjacent", heap)
         )
         with pytest.raises(ValueError, match="stride"):
-            DurableStore(heap, flit_view, layout=store.layout)
+            SharedLogStore(heap, [flit_view], layout=store.layout)
 
 
 class TestGroupCommit:
     def test_batch_size_triggers_commit(self):
         system, heap, view, store = mk_store(batch_size=4)
-        tickets = [store.put(k, 10 + k) for k in range(1, 4)]
+        tickets = [store.put(0, k, 10 + k) for k in range(1, 4)]
         assert not any(t.acked for t in tickets)
-        last = store.put(4, 14)
+        last = store.put(0, 4, 14)
         assert last.acked and all(t.acked for t in tickets)
         assert store.stats.get("store_commits") == 1
         assert store.stats.get("store_fences") == 1
 
     def test_sync_seals_a_partial_batch(self):
         system, heap, view, store = mk_store(batch_size=8)
-        ticket = store.put(1, 11)
+        ticket = store.put(0, 1, 11)
         assert not ticket.acked
         store.sync()
         assert ticket.acked
@@ -86,19 +91,19 @@ class TestGroupCommit:
         system, heap, view, store = mk_store(
             batch_size=50, cycle_budget=200
         )
-        first = store.put(1, 11)
+        first = store.put(0, 1, 11)
         while not first.acked:
-            store.put(2, view.ctx.now + 100)  # values vary, budget runs out
+            store.put(0, 2, view.ctx.now + 100)  # values vary, budget runs out
         assert store.stats.get("store_commits") >= 1
 
     def test_cycle_budget_seals_partial_batch(self):
         system, heap, view, store = mk_store(
             batch_size=50, cycle_budget=10_000
         )
-        first = store.put(1, 11)
+        first = store.put(0, 1, 11)
         assert not first.acked
         view.ctx.now += 10_000  # budget expires with the batch nowhere near full
-        second = store.put(2, 12)
+        second = store.put(0, 2, 12)
         assert first.acked and second.acked
         assert store.stats.get("store_commits") == 1
         assert store.stats.get("store_fences") == 1
@@ -108,23 +113,23 @@ class TestGroupCommit:
         system, heap, view, store = mk_store(
             batch_size=50, cycle_budget=10_000
         )
-        store.put(1, 11)
+        store.put(0, 1, 11)
         view.ctx.now += 10_000
-        store.put(2, 12)  # seals epoch 1 on budget expiry
+        store.put(0, 2, 12)  # seals epoch 1 on budget expiry
         assert store.stats.get("store_commits") == 1
-        third = store.put(3, 13)  # opens a fresh window
-        fourth = store.put(4, 14)  # cheap ops: well inside the new budget
+        third = store.put(0, 3, 13)  # opens a fresh window
+        fourth = store.put(0, 4, 14)  # cheap ops: well inside the new budget
         assert not third.acked and not fourth.acked
         assert store.stats.get("store_commits") == 1
         view.ctx.now += 10_000
-        fifth = store.put(5, 15)
+        fifth = store.put(0, 5, 15)
         assert third.acked and fourth.acked and fifth.acked
         assert store.stats.get("store_commits") == 2
 
     def test_epoch_is_atomic_in_recovery(self):
         system, heap, view, store = mk_store(batch_size=4)
-        store.put(1, 11)
-        store.put(2, 12)  # batch open: no marker yet
+        store.put(0, 1, 11)
+        store.put(0, 2, 12)  # batch open: no marker yet
         state = recovered(system, store)
         assert state.items == {}
         assert state.applied_lsn == 0
@@ -137,21 +142,37 @@ class TestGroupCommit:
         with pytest.raises(ValueError, match="fit"):
             mk_store(batch_size=64, log_capacity=32)
 
+    def test_capacity_bound_edges(self):
+        # a lone thread is always the leader and never overshoots its
+        # epoch: the batch plus its marker plus one op of slack fit
+        mk_store(batch_size=30, log_capacity=32)
+        with pytest.raises(ValueError, match="fit"):
+            mk_store(batch_size=31, log_capacity=32)
+
+    def test_one_thread_log_is_private(self):
+        system, heap, view, store = mk_store(batch_size=4)
+        assert store.leader_addr is None
+        assert not hasattr(store.wal, "tail_addr")
+        lsns = [store.put(0, k, 10 + k).lsn for k in range(1, 4)]
+        assert lsns == [1, 2, 3]
+        # no tail word: appends cost no CAS on the shared hierarchy
+        assert system.stats.get("cas_successes") == 0
+
     def test_keys_and_values_must_be_positive(self):
         system, heap, view, store = mk_store()
         with pytest.raises(ValueError):
-            store.put(0, 5)
+            store.put(0, 0, 5)
         with pytest.raises(ValueError):
-            store.put(5, 0)
+            store.put(0, 5, 0)
         with pytest.raises(ValueError):
-            store.delete(-1)
+            store.delete(0, -1)
 
 
 class TestCheckpointAndRecovery:
     def test_recovery_from_checkpoint_only(self):
         system, heap, view, store = mk_store(batch_size=2)
         for k in range(1, 9):
-            store.put(k, 100 + k)
+            store.put(0, k, 100 + k)
         store.checkpoint()
         state = recovered(system, store)
         assert state.items == {k: 100 + k for k in range(1, 9)}
@@ -160,19 +181,19 @@ class TestCheckpointAndRecovery:
 
     def test_log_replay_on_top_of_checkpoint(self):
         system, heap, view, store = mk_store(batch_size=2)
-        store.put(1, 11)
-        store.put(2, 12)
+        store.put(0, 1, 11)
+        store.put(0, 2, 12)
         store.checkpoint()
-        store.put(3, 13)
-        store.delete(1)  # second epoch after the checkpoint
+        store.put(0, 3, 13)
+        store.delete(0, 1)  # second epoch after the checkpoint
         state = recovered(system, store)
         assert state.items == {2: 12, 3: 13}
         assert state.replayed_epochs == 1
 
     def test_torn_tail_is_tolerated(self):
         system, heap, view, store = mk_store(batch_size=2)
-        store.put(1, 11)
-        store.put(2, 12)
+        store.put(0, 1, 11)
+        store.put(0, 2, 12)
         image = dict(system.persisted_image())
         # corrupt the CRC of the sealed epoch's first record
         addr = store.layout.field_addr(store.layout.slot_of(1), F_CRC)
@@ -182,7 +203,7 @@ class TestCheckpointAndRecovery:
 
     def test_bad_superblock_pointer_raises(self):
         system, heap, view, store = mk_store(batch_size=1)
-        store.put(1, 11)
+        store.put(0, 1, 11)
         store.checkpoint()
         image = dict(system.persisted_image())
         image[store.layout.superblock] = 0xDEAD000
@@ -194,7 +215,7 @@ class TestCheckpointAndRecovery:
             batch_size=4, log_capacity=16
         )
         for i in range(1, 60):
-            store.put(i % 7 + 1, 1000 + i)
+            store.put(0, i % 7 + 1, 1000 + i)
         store.sync()
         assert store.stats.get("store_checkpoints") >= 1
         state = recovered(system, store)
@@ -206,13 +227,13 @@ class TestCheckpointAndRecovery:
             batch_size=2, checkpoint_every=2
         )
         for i in range(1, 13):
-            store.put(i, 50 + i)
+            store.put(0, i, 50 + i)
         assert store.stats.get("store_checkpoints") == 3
 
     def test_replay_mutant_knob_resurfaces_stale_records(self):
         system, heap, view, store = mk_store(batch_size=4, log_capacity=16)
         for i in range(1, 60):
-            store.put(i % 7 + 1, 1000 + i)
+            store.put(0, i % 7 + 1, 1000 + i)
         store.sync()
         strict = recovered(system, store)
         trusting = recovered(system, store, check_lsn=False)
@@ -223,8 +244,8 @@ class TestCheckpointAndRecovery:
 
     def test_lsn_field_zeroed_slot_ends_replay(self):
         system, heap, view, store = mk_store(batch_size=1)
-        store.put(1, 11)
-        store.put(2, 12)
+        store.put(0, 1, 11)
+        store.put(0, 2, 12)
         image = dict(system.persisted_image())
         # lsn 3 is the second epoch's payload (batch_size=1 means
         # lsn 2 and 4 are COMMIT markers); zeroing it tears epoch 2
@@ -239,20 +260,20 @@ class TestReopen:
     def test_adopt_then_second_crash_round_trips(self):
         system, heap, view, store = mk_store(batch_size=4, log_capacity=24)
         for i in range(1, 40):
-            store.put(i % 9 + 1, 2000 + i)
-        store.put(77, 7777)  # left pending: discarded by the crash
+            store.put(0, i % 9 + 1, 2000 + i)
+        store.put(0, 77, 7777)  # left pending: discarded by the crash
         system.crash(at=None)
         state = recovered(system, store)
         assert 77 not in state.items
         assert state.applied_lsn == store.acked_lsn
 
-        reopened = DurableStore(
-            heap, view, batch_size=4, layout=store.layout
+        reopened = SharedLogStore(
+            heap, [view], batch_size=4, layout=store.layout
         )
         reopened.adopt(state)
         assert reopened.memtable == state.items
         for i in range(1, 30):
-            reopened.put(50 + i % 11, 3000 + i)
+            reopened.put(0, 50 + i % 11, 3000 + i)
         reopened.sync()
         system.crash(at=None)
         second = recovered(system, reopened)
@@ -261,10 +282,24 @@ class TestReopen:
 
     def test_adopt_requires_fresh_instance(self):
         system, heap, view, store = mk_store(batch_size=1)
-        store.put(1, 11)
+        store.put(0, 1, 11)
         state = recovered(system, store)
         with pytest.raises(RuntimeError, match="fresh"):
             store.adopt(state)
+
+    def test_adopt_rejects_used_store_after_measurement_reset(self):
+        # empty memtable and zeroed WAL counters, but LSNs 1..3 are used:
+        # adopting would rewind the tail and hand them out again
+        system, heap, view, store = mk_store(batch_size=8)
+        store.put(0, 5, 7)
+        store.delete(0, 5)
+        store.sync(0)
+        store.reset_measurement()
+        assert not store.memtable and store.wal.records_appended == 0
+        state = recovered(system, store)
+        with pytest.raises(RuntimeError, match="fresh"):
+            store.adopt(state)
+        assert store.wal.next_lsn == 4
 
 
 class TestOptimizerMatrix:
@@ -274,9 +309,9 @@ class TestOptimizerMatrix:
             optimizer, batch_size=4, checkpoint_every=3
         )
         for i in range(1, 40):
-            store.put(i % 10 + 1, 100 + i)
+            store.put(0, i % 10 + 1, 100 + i)
             if i % 7 == 0:
-                store.delete(i % 5 + 1)
+                store.delete(0, i % 5 + 1)
         store.sync()
         state = recovered(system, store)
         assert state.items == store.memtable
@@ -287,7 +322,7 @@ class TestOptimizerMatrix:
         skip_sys, _, _, skip_store = mk_store("skipit", batch_size=8)
         for s in (plain_store, skip_store):
             for i in range(1, 33):
-                s.put(i % 6 + 1, 500 + i)
+                s.put(0, i % 6 + 1, 500 + i)
             s.sync()
         assert (
             skip_sys.stats.get("cbo_issued")
@@ -300,7 +335,7 @@ class TestResetMeasurement:
     def test_counters_zeroed_durable_state_kept(self):
         system, heap, view, store = mk_store(batch_size=4)
         for i in range(1, 10):
-            store.put(i, 30 + i)
+            store.put(0, i, 30 + i)
         store.sync()
         memtable = dict(store.memtable)
         acked = store.acked_lsn
@@ -312,7 +347,7 @@ class TestResetMeasurement:
         assert view.ctx.now == 0 and not view.ctx.outstanding
         assert store.memtable == memtable and store.acked_lsn == acked
         # the store still works after the reset
-        store.put(90, 900)
+        store.put(0, 90, 900)
         store.sync()
         assert store.stats.get("store_commits") == 1
 
@@ -320,9 +355,9 @@ class TestResetMeasurement:
 class TestObservability:
     def test_store_registry_snapshot(self):
         system, heap, view, store = mk_store(batch_size=4)
-        registry = store_registry(store)
+        registry = shared_store_registry(store)
         for i in range(1, 10):
-            store.put(i, 30 + i)
+            store.put(0, i, 30 + i)
         store.sync()
         snap = registry.snapshot()
         assert snap["store"]["store_commits"] == 3

@@ -59,6 +59,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="fit"):
             mk_shared(threads=4, batch_size=16, log_capacity=64)
 
+    def test_capacity_bound_edges(self):
+        # 3 threads: 3 x batch records, one grace record per thread,
+        # the marker and one op of slack
+        mk_shared(threads=3, batch_size=9, log_capacity=32)
+        with pytest.raises(ValueError, match="fit"):
+            mk_shared(threads=3, batch_size=9, log_capacity=31)
+
 
 class TestSharedCommit:
     def test_one_fence_acks_all_threads(self):
@@ -281,6 +288,19 @@ class TestRecovery:
         state = recovered(system, store)
         with pytest.raises(RuntimeError, match="fresh"):
             store.adopt(state)
+
+    def test_adopt_rejects_used_store_after_measurement_reset(self):
+        # reset_measurement zeroes records_appended, yet LSNs 1..3 are
+        # used: adopting would rewind the tail and reuse them
+        system, heap, views, store = mk_shared(threads=2, batch_size=8)
+        store.put(0, 5, 7)
+        store.delete(0, 5)
+        store.sync(0)
+        store.reset_measurement()
+        state = recovered(system, store)
+        with pytest.raises(RuntimeError, match="fresh"):
+            store.adopt(state)
+        assert store.wal.next_lsn == 4
 
 
 class TestResetMeasurement:

@@ -2,7 +2,7 @@
 
 Covers the buffered :class:`Transaction` handle, the contiguous-run WAL
 encoding (``OP_TXN``* + ``OP_TXN_COMMIT``), recovery's all-or-nothing
-replay on both the private and the shared log, and the serve-tier
+replay on both the single-writer and the shared log, and the serve-tier
 ``transact`` path's ticket bookkeeping.
 """
 
@@ -16,7 +16,6 @@ from repro.persist.structures.base import persisted_reader
 from repro.store import (
     OP_TXN,
     OP_TXN_COMMIT,
-    DurableStore,
     SharedLogStore,
     Transaction,
     TxnAborted,
@@ -38,7 +37,7 @@ def mk_store(optimizer="skipit", **kwargs):
     )
     kwargs.setdefault("log_capacity", 64)
     kwargs.setdefault("num_buckets", 16)
-    store = DurableStore(heap, view, **kwargs)
+    store = SharedLogStore(heap, [view], **kwargs)
     return system, heap, view, store
 
 
@@ -64,26 +63,26 @@ def recovered(system, store, at=None, **kwargs):
 class TestTransactionBuffer:
     def test_reads_see_own_buffered_writes(self):
         system, heap, view, store = mk_store()
-        store.put(1, 11)
-        txn = store.begin()
+        store.put(0, 1, 11)
+        txn = store.begin(0)
         assert txn.get(1) == 11  # falls through to the store
         txn.put(1, 99)
         assert txn.get(1) == 99  # own write wins
         txn.delete(1)
         assert txn.get(1) is None  # buffered delete reads as absent
-        assert store.get(1) == 11  # nothing published yet
+        assert store.get(0, 1) == 11  # nothing published yet
 
     def test_buffered_writes_do_not_touch_the_log(self):
         system, heap, view, store = mk_store()
         before = store.wal.records_appended
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(1, 11)
         txn.put(2, 22)
         assert store.wal.records_appended == before
 
     def test_put_validates_like_the_store(self):
         system, heap, view, store = mk_store()
-        txn = store.begin()
+        txn = store.begin(0)
         with pytest.raises(ValueError, match="keys"):
             txn.put(0, 1)
         with pytest.raises(ValueError, match="values"):
@@ -93,7 +92,7 @@ class TestTransactionBuffer:
 
     def test_finished_txn_rejects_further_use(self):
         system, heap, view, store = mk_store()
-        txn = store.begin()
+        txn = store.begin(0)
         txn.abort()
         for call in (
             lambda: txn.get(1),
@@ -108,10 +107,10 @@ class TestTransactionBuffer:
     def test_abort_discards_and_counts(self):
         system, heap, view, store = mk_store()
         before = store.wal.records_appended
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(5, 55)
         txn.abort()
-        assert store.get(5) is None
+        assert store.get(0, 5) is None
         assert store.wal.records_appended == before
         assert store.stats.get("store_txn_aborts") == 1
 
@@ -119,7 +118,7 @@ class TestTransactionBuffer:
 class TestCommitEncoding:
     def test_commit_appends_contiguous_run_and_applies(self):
         system, heap, view, store = mk_store(batch_size=8)
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(1, 11)
         txn.put(2, 22)
         txn.delete(3)
@@ -130,7 +129,7 @@ class TestCommitEncoding:
         )
         assert ticket.lsn - ticket.first_lsn == 3  # 3 payload + commit
         # applied to the memtable immediately (reads see it pre-ack)
-        assert store.get(1) == 11 and store.get(2) == 22
+        assert store.get(0, 1) == 11 and store.get(0, 2) == 22
         assert store.stats.get("store_txns") == 1
         assert store.stats.get("store_txn_records") == 3
 
@@ -140,7 +139,7 @@ class TestCommitEncoding:
         store.wal.on_append = lambda lsn, op, key, value: seen.append(
             (lsn, op, key, value)
         )
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(7, 77)
         txn.delete(8)
         ticket = txn.commit()
@@ -153,20 +152,20 @@ class TestCommitEncoding:
     def test_empty_txn_commits_without_logging(self):
         system, heap, view, store = mk_store(batch_size=8)
         before = store.wal.records_appended
-        ticket = store.begin().commit()
+        ticket = store.begin(0).commit()
         assert ticket.acked and ticket.records == 0
         assert store.wal.records_appended == before
         assert list(ticket_lsns(ticket)) == []
 
     def test_txn_is_one_ticket_toward_the_epoch(self):
         system, heap, view, store = mk_store(batch_size=2)
-        first = store.begin()
+        first = store.begin(0)
         first.put(1, 11)
         first.put(2, 22)
         first.put(3, 33)
         t1 = first.commit()
         assert not t1.acked  # 3 writes, still only 1 of 2 batch tickets
-        second = store.begin()
+        second = store.begin(0)
         second.put(4, 44)
         t2 = second.commit()
         assert t1.acked and t2.acked  # 2nd ticket sealed the epoch
@@ -174,7 +173,7 @@ class TestCommitEncoding:
 
     def test_oversized_txn_rejected(self):
         system, heap, view, store = mk_store(batch_size=2, log_capacity=16)
-        txn = store.begin()
+        txn = store.begin(0)
         for key in range(1, 16):
             txn.put(key, key + 10)
         with pytest.raises(ValueError, match="capacity|fit"):
@@ -187,9 +186,9 @@ class TestCommitEncoding:
         i = 0
         while store.wal.next_lsn + 11 - store.watermark <= 32:
             i += 1  # fill until an 11-slot run cannot fit any more
-            store.put(i % 8 + 1, 100 + i)
+            store.put(0, i % 8 + 1, 100 + i)
         checkpoints = store.stats.get("store_checkpoints")
-        txn = store.begin()
+        txn = store.begin(0)
         for key in range(1, 11):
             txn.put(key, 900 + key)
         ticket = txn.commit()  # needs an 11-slot run: must make room
@@ -198,7 +197,7 @@ class TestCommitEncoding:
 
     def test_ticket_lsns_single_slot_for_plain_tickets(self):
         system, heap, view, store = mk_store()
-        ticket = store.put(1, 11)
+        ticket = store.put(0, 1, 11)
         assert list(ticket_lsns(ticket)) == [ticket.lsn]
         txn_ticket = TxnTicket(lsn=9, txn_id=1, first_lsn=5, records=4)
         assert list(ticket_lsns(txn_ticket)) == [5, 6, 7, 8, 9]
@@ -207,8 +206,8 @@ class TestCommitEncoding:
 class TestTxnRecovery:
     def test_committed_txn_replays_whole(self):
         system, heap, view, store = mk_store(batch_size=4)
-        store.put(1, 11)
-        txn = store.begin()
+        store.put(0, 1, 11)
+        txn = store.begin(0)
         txn.put(2, 22)
         txn.put(3, 33)
         txn.delete(1)
@@ -221,9 +220,9 @@ class TestTxnRecovery:
 
     def test_unsealed_txn_rolls_back_whole(self):
         system, heap, view, store = mk_store(batch_size=8)
-        store.put(1, 11)
+        store.put(0, 1, 11)
         store.sync()
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(2, 22)
         txn.put(3, 33)
         txn.commit()  # epoch not sealed: no marker, not durable
@@ -235,9 +234,9 @@ class TestTxnRecovery:
 
     def test_torn_commit_record_rolls_back_the_prefix(self):
         system, heap, view, store = mk_store(batch_size=8)
-        store.put(1, 11)
+        store.put(0, 1, 11)
         store.sync()
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(2, 22)
         txn.put(3, 33)
         ticket = txn.commit()
@@ -253,9 +252,9 @@ class TestTxnRecovery:
         # the seeded txn_partial_replay mutant: same torn image, but the
         # surviving payload prefix leaks into the recovered state
         system, heap, view, store = mk_store(batch_size=8)
-        store.put(1, 11)
+        store.put(0, 1, 11)
         store.sync()
-        txn = store.begin()
+        txn = store.begin(0)
         txn.put(2, 22)
         txn.put(3, 33)
         ticket = txn.commit()
@@ -267,12 +266,12 @@ class TestTxnRecovery:
 
     def test_mixed_plain_and_txn_round_trip(self):
         system, heap, view, store = mk_store(batch_size=4)
-        store.put(1, 11)
-        txn = store.begin()
+        store.put(0, 1, 11)
+        txn = store.begin(0)
         txn.put(2, 22)
         txn.commit()
-        store.put(3, 33)
-        aborted = store.begin()
+        store.put(0, 3, 33)
+        aborted = store.begin(0)
         aborted.put(4, 44)
         aborted.abort()
         store.sync()

@@ -28,8 +28,8 @@ from repro.verify.mutants import (
 )
 from repro.verify.oracle import DurabilityOracle, WordHistory
 from repro.verify.serve import ServeCrashSweep
-from repro.verify.store import SharedStoreCrashSweep, StoreCrashSweep
-from repro.verify.txn import SharedTxnCrashSweep, TxnCrashSweep
+from repro.verify.store import SharedStoreCrashSweep
+from repro.verify.txn import SharedTxnCrashSweep
 
 ADDR = 0x10000
 
@@ -188,8 +188,8 @@ class TestStoreMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(STORE_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_sweep_red(self, mutant, optimizer):
-        report = StoreCrashSweep(
-            optimizer, group_commit=8, ops=60, mutants=(mutant,)
+        report = SharedStoreCrashSweep(
+            optimizer, group_commit=8, threads=1, ops=60, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -197,7 +197,9 @@ class TestStoreMutantsCaught:
 
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_unmutated_sweep_is_green(self, optimizer):
-        report = StoreCrashSweep(optimizer, group_commit=8, ops=60).run()
+        report = SharedStoreCrashSweep(
+            optimizer, group_commit=8, threads=1, ops=60
+        ).run()
         assert report.ok, report.summary()
 
 
@@ -290,8 +292,8 @@ class TestTxnMutantsCaught:
     @pytest.mark.parametrize("mutant", sorted(TXN_MUTANTS))
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     def test_mutant_turns_private_sweep_red(self, mutant, optimizer):
-        report = TxnCrashSweep(
-            optimizer, group_commit=8, mutants=(mutant,)
+        report = SharedTxnCrashSweep(
+            optimizer, group_commit=8, threads=1, mutants=(mutant,)
         ).run()
         assert not report.ok, f"{mutant} not caught on {optimizer}"
         kinds = {violation.kind for violation in report.violations}
@@ -310,7 +312,9 @@ class TestTxnMutantsCaught:
     @pytest.mark.parametrize("optimizer", ["plain", "skipit"])
     @pytest.mark.parametrize("group_commit", [1, 8])
     def test_unmutated_sweeps_are_green(self, optimizer, group_commit):
-        private = TxnCrashSweep(optimizer, group_commit=group_commit).run()
+        private = SharedTxnCrashSweep(
+            optimizer, group_commit=group_commit, threads=1
+        ).run()
         assert private.ok, private.summary()
         shared = SharedTxnCrashSweep(
             optimizer, group_commit=group_commit, threads=3

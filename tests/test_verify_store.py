@@ -13,7 +13,6 @@ from repro.persist.flushopt import OPTIMIZER_NAMES
 from repro.store.layout import OP_COMMIT, OP_DELETE, OP_PUT
 from repro.verify.store import (
     SharedStoreCrashSweep,
-    StoreCrashSweep,
     StoreOracle,
     run_shared_store_sweep,
     run_store_sweep,
@@ -24,7 +23,7 @@ class TestAcceptanceMatrix:
     @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
     @pytest.mark.parametrize("group_commit", [1, 8, 64])
     def test_sweep_is_green(self, optimizer, group_commit):
-        report = StoreCrashSweep(optimizer, group_commit).run()
+        report = SharedStoreCrashSweep(optimizer, group_commit, threads=1).run()
         assert report.ok, report.summary() + "".join(
             f"\n  {v}" for v in report.violations[:5]
         )

@@ -18,12 +18,11 @@ import pytest
 from repro.verify.serve import ServeCrashSweep, run_serve_sweep
 from repro.verify.store import (
     SharedStoreCrashSweep,
-    StoreCrashSweep,
     run_ranged_store_sweep,
     run_shared_store_sweep,
     run_store_sweep,
 )
-from repro.verify.txn import SharedTxnCrashSweep, TxnCrashSweep, run_txn_sweep
+from repro.verify.txn import SharedTxnCrashSweep, run_txn_sweep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "crash_sweeps_seed0.json"
 
@@ -42,8 +41,8 @@ def _mutant_sweeps():
     sweeps = {}
     for opt in ("plain", "skipit"):
         for m in ("store_ack_before_fence", "store_replay_trusts_crc"):
-            sweeps[f"store/{m}/{opt}"] = StoreCrashSweep(
-                opt, group_commit=8, ops=60, mutants=(m,)
+            sweeps[f"store/{m}/{opt}"] = SharedStoreCrashSweep(
+                opt, group_commit=8, threads=1, ops=60, mutants=(m,)
             )
         sweeps[f"shared/shared_ack_before_fence/{opt}"] = SharedStoreCrashSweep(
             opt, group_commit=4, threads=3, ops=60,
@@ -54,14 +53,14 @@ def _mutant_sweeps():
                 opt, group_commit=8, mutants=(m,)
             )
         for m in ("txn_partial_replay", "txn_commit_before_fence"):
-            sweeps[f"txn/{m}/{opt}"] = TxnCrashSweep(
-                opt, group_commit=8, mutants=(m,)
+            sweeps[f"txn/{m}/{opt}"] = SharedTxnCrashSweep(
+                opt, group_commit=8, threads=1, mutants=(m,)
             )
             sweeps[f"txn-shared/{m}/{opt}"] = SharedTxnCrashSweep(
                 opt, group_commit=8, threads=3, mutants=(m,)
             )
-    sweeps["ranged/range_skips_unreached_lines/skipit"] = StoreCrashSweep(
-        "skipit", group_commit=8, ranged_seal=True,
+    sweeps["ranged/range_skips_unreached_lines/skipit"] = SharedStoreCrashSweep(
+        "skipit", group_commit=8, threads=1, ranged_seal=True,
         mutants=("range_skips_unreached_lines",),
     )
     return sweeps
