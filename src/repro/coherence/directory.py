@@ -17,7 +17,7 @@ from repro.tilelink.permissions import Perm
 _NONE, _BRANCH, _TRUNK = Perm.NONE, Perm.BRANCH, Perm.TRUNK
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Tracks which clients hold a line and at what maximum permission."""
 
@@ -29,7 +29,9 @@ class DirectoryEntry:
         if perm is _NONE:
             raise ValueError("cannot grant NONE")
         if perm is _TRUNK:
-            if self.sharers - {client}:
+            sharers = self.sharers
+            # any sharer other than *client* (no set difference built)
+            if len(sharers) > 1 or (sharers and client not in sharers):
                 raise ValueError(
                     "granting TRUNK while other sharers exist violates "
                     "single-writer"
@@ -66,3 +68,8 @@ class DirectoryEntry:
 
     def copy(self) -> "DirectoryEntry":
         return DirectoryEntry(sharers=set(self.sharers), owner=self.owner)
+
+    def __reduce__(self):
+        # pickled as its constructor call, not the new per-instance dict
+        # a slotted object's default state would allocate
+        return DirectoryEntry, (self.sharers, self.owner)

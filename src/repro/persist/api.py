@@ -16,7 +16,14 @@ from repro.timing.system import ThreadCtx
 
 
 class PMemView:
-    """What a persistent data structure sees of the memory system."""
+    """What a persistent data structure sees of the memory system.
+
+    Every access is one hop where it can be.  When the view is built it
+    records which memory hooks the optimizer's class overrides; an
+    inherited pass-through hook is skipped and the view calls the timing
+    system itself.  The policy's flush answers, which depend only on the
+    access tag, are looked up once for both tags.
+    """
 
     def __init__(
         self,
@@ -29,34 +36,57 @@ class PMemView:
         self.optimizer = optimizer
         self._did_update = False
         self.flush_requests = 0
+        self._system = ctx.system
+        cls = type(optimizer)
+        self._own_read = cls.read is not FlushOptimizer.read
+        self._own_write = cls.write is not FlushOptimizer.write
+        self._own_cas = cls.cas is not FlushOptimizer.cas
+        self._own_flush = cls.flush is not FlushOptimizer.flush
+        self._own_clean = cls.clean is not FlushOptimizer.clean
+        self._flush_read = policy.flush_on_read(False)
+        self._flush_critical_read = policy.flush_on_read(True)
+        self._flush_write = policy.flush_on_write(False)
+        self._flush_critical_write = policy.flush_on_write(True)
 
     # ------------------------------------------------------------ accesses
     def read(self, address: int, critical: bool = False) -> int:
-        value = self.optimizer.read(self.ctx, address)
-        if self.policy.flush_on_read(critical):
+        if self._own_read:
+            value = self.optimizer.read(self.ctx, address)
+        else:
+            value = self._system.load(self.ctx, address)
+        if self._flush_critical_read if critical else self._flush_read:
             self.flush(address)
         return value
 
     def write(self, address: int, value: int, critical: bool = False) -> None:
-        self.optimizer.write(self.ctx, address, value)
+        if self._own_write:
+            self.optimizer.write(self.ctx, address, value)
+        else:
+            self._system.store(self.ctx, address, value)
         self._did_update = True
-        if self.policy.flush_on_write(critical):
+        if self._flush_critical_write if critical else self._flush_write:
             self.flush(address)
 
     def cas(
         self, address: int, expected: int, new: int, critical: bool = True
     ) -> bool:
-        ok = self.optimizer.cas(self.ctx, address, expected, new)
+        if self._own_cas:
+            ok = self.optimizer.cas(self.ctx, address, expected, new)
+        else:
+            ok = self._system.cas(self.ctx, address, expected, new)
         if ok:
             self._did_update = True
-            if self.policy.flush_on_write(critical):
+            if self._flush_critical_write if critical else self._flush_write:
                 self.flush(address)
         return ok
 
     def flush(self, address: int) -> None:
         """Request a writeback; the optimizer may prove it redundant."""
         self.flush_requests += 1
-        self.optimizer.flush(self.ctx, address)
+        if self._own_flush:
+            self.optimizer.flush(self.ctx, address)
+        else:
+            self._system.cbo(self.ctx, address, invalidate=True)
 
     def clean(self, address: int) -> None:
         """Request a non-invalidating writeback (CBO.CLEAN).
@@ -68,7 +98,10 @@ class PMemView:
         L1.  Goes through the same optimizer filter as :meth:`flush`.
         """
         self.flush_requests += 1
-        self.optimizer.clean(self.ctx, address)
+        if self._own_clean:
+            self.optimizer.clean(self.ctx, address)
+        else:
+            self._system.cbo(self.ctx, address, invalidate=False)
 
     def clean_range(self, address: int, length: int) -> None:
         """Request one ranged writeback (CBO.RANGE.CLEAN) over a byte span.
@@ -87,4 +120,4 @@ class PMemView:
 
     def op_end(self) -> None:
         if self.policy.fence_on_op_end(self._did_update):
-            self.ctx.fence()
+            self._system.fence(self.ctx)

@@ -40,8 +40,10 @@ class FlushOptimizer:
     supports_pointer_tagging_structures = True
 
     # -------------------------------------------------------- memory hooks
-    # The pass-throughs call the TimingSystem directly rather than through
-    # the ThreadCtx convenience wrappers: one Python frame less per access.
+    # Every hook calls the TimingSystem directly rather than through the
+    # ThreadCtx convenience wrappers: one Python frame less per access.
+    # PMemView skips these pass-throughs altogether (it calls the timing
+    # system itself when a subclass does not override a hook).
     def read(self, ctx: ThreadCtx, address: int) -> int:
         return ctx.system.load(ctx, address)
 
@@ -74,11 +76,12 @@ class FlushOptimizer:
         cannot prove persisted — the range encoding does not exempt them
         from their own bookkeeping traffic.
         """
-        ctx.clean_range(address, length)
+        ctx.system.cbo_range(ctx, address, length)
 
     def _clean_line_runs(self, ctx: ThreadCtx, lines) -> None:
         """Issue one ranged clean per contiguous run of line addresses."""
-        line_bytes = ctx.system.params.line_bytes
+        system = ctx.system
+        line_bytes = system.params.line_bytes
         run_start = run_end = None
         for line in sorted(lines):
             if run_start is None:
@@ -86,10 +89,10 @@ class FlushOptimizer:
             elif line == run_end + line_bytes:
                 run_end = line
             else:
-                ctx.clean_range(run_start, run_end - run_start + line_bytes)
+                system.cbo_range(ctx, run_start, run_end - run_start + line_bytes)
                 run_start = run_end = line
         if run_start is not None:
-            ctx.clean_range(run_start, run_end - run_start + line_bytes)
+            system.cbo_range(ctx, run_start, run_end - run_start + line_bytes)
 
     def declare_persisted(self, system) -> None:
         """Reset bookkeeping after ``TimingSystem.persist_all`` (setup aid).
@@ -116,7 +119,52 @@ class SkipItHardware(FlushOptimizer):
     name = "skipit"
 
 
-class FlitAdjacent(FlushOptimizer):
+class _FlitCounters(FlushOptimizer):
+    """The FliT protocol [73], shared by both counter placements.
+
+    A store sets the persist counter of the word it wrote; a flush
+    request loads the counter and issues the CBO (then clears the
+    counter) only when it is set.  Subclasses say where a word's counter
+    lives (``_counter_of``, which records it in ``_counters``).
+    """
+
+    def _counter_of(self, address: int) -> int:
+        raise NotImplementedError
+
+    def declare_persisted(self, system) -> None:
+        for counter in self._counters:
+            if system.arch.get(counter):
+                system.arch[counter] = 0
+            if system.persisted.get(counter):
+                system.persisted[counter] = 0
+
+    def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
+        system = ctx.system
+        system.store(ctx, address, value)
+        system.store(ctx, self._counter_of(address), 1)
+
+    def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
+        ok = ctx.system.cas(ctx, address, expected, new)
+        if ok:
+            ctx.system.store(ctx, self._counter_of(address), 1)
+        return ok
+
+    def flush(self, ctx: ThreadCtx, address: int) -> None:
+        system = ctx.system
+        counter = self._counter_of(address)
+        if system.load(ctx, counter):
+            system.cbo(ctx, address, invalidate=True)
+            system.store(ctx, counter, 0)
+
+    def clean(self, ctx: ThreadCtx, address: int) -> None:
+        system = ctx.system
+        counter = self._counter_of(address)
+        if system.load(ctx, counter):
+            system.cbo(ctx, address, invalidate=False)
+            system.store(ctx, counter, 0)
+
+
+class FlitAdjacent(_FlitCounters):
     """FliT with the counter placed adjacent to every data word.
 
     The counter of the field at address ``a`` lives at ``a + 8``; objects
@@ -134,53 +182,25 @@ class FlitAdjacent(FlushOptimizer):
         self._counters.add(counter)
         return counter
 
-    def declare_persisted(self, system) -> None:
-        for counter in self._counters:
-            if system.arch.get(counter):
-                system.arch[counter] = 0
-            if system.persisted.get(counter):
-                system.persisted[counter] = 0
-
-    def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        ctx.store(address, value)
-        ctx.store(self._counter_of(address), 1)
-
-    def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
-        ok = ctx.cas(address, expected, new)
-        if ok:
-            ctx.store(self._counter_of(address), 1)
-        return ok
-
-    def flush(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.flush(address)
-            ctx.store(counter, 0)
-
-    def clean(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.clean(address)
-            ctx.store(counter, 0)
-
     def clean_range(self, ctx: ThreadCtx, address: int, length: int) -> None:
         # Per-field counters: a line needs the sweep iff any of its data
         # words' counters are set.  Loading each counter is real cache
         # traffic — the range encoding saves CBOs, not FliT bookkeeping.
-        line_bytes = ctx.system.params.line_bytes
+        system = ctx.system
+        line_bytes = system.params.line_bytes
         lines = set()
         cleared = []
         for counter in sorted(self._counters):
             data = counter - 8
-            if address <= data < address + length and ctx.load(counter):
+            if address <= data < address + length and system.load(ctx, counter):
                 lines.add(data - data % line_bytes)
                 cleared.append(counter)
         self._clean_line_runs(ctx, lines)
         for counter in cleared:
-            ctx.store(counter, 0)
+            system.store(ctx, counter, 0)
 
 
-class FlitHashTable(FlushOptimizer):
+class FlitHashTable(_FlitCounters):
     """FliT with counters in a shared fixed-size table.
 
     ``table_entries`` is the Figure 16 sensitivity knob: a small table
@@ -204,52 +224,24 @@ class FlitHashTable(FlushOptimizer):
         self._counters.add(counter)
         return counter
 
-    def declare_persisted(self, system) -> None:
-        for counter in self._counters:
-            if system.arch.get(counter):
-                system.arch[counter] = 0
-            if system.persisted.get(counter):
-                system.persisted[counter] = 0
-
-    def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        ctx.store(address, value)
-        ctx.store(self._counter_of(address), 1)
-
-    def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
-        ok = ctx.cas(address, expected, new)
-        if ok:
-            ctx.store(self._counter_of(address), 1)
-        return ok
-
-    def flush(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.flush(address)
-            ctx.store(counter, 0)
-
-    def clean(self, ctx: ThreadCtx, address: int) -> None:
-        counter = self._counter_of(address)
-        if ctx.load(counter):
-            ctx.clean(address)
-            ctx.store(counter, 0)
-
     def clean_range(self, ctx: ThreadCtx, address: int, length: int) -> None:
         # The table hashes per line, so the ranged filter is one counter
         # load per covered line; collisions stay conservative (a stranger
         # line sharing the slot forces this line into the sweep).
-        line_bytes = ctx.system.params.line_bytes
+        system = ctx.system
+        line_bytes = system.params.line_bytes
         base = address - address % line_bytes
         last = (address + length - 1) - (address + length - 1) % line_bytes
         lines = []
         cleared = []
         for line in range(base, last + line_bytes, line_bytes):
             counter = self._counter_of(line)
-            if ctx.load(counter):
+            if system.load(ctx, counter):
                 lines.append(line)
                 cleared.append(counter)
         self._clean_line_runs(ctx, lines)
         for counter in cleared:
-            ctx.store(counter, 0)
+            system.store(ctx, counter, 0)
 
     def describe(self) -> str:
         return f"{self.name}({self.table_entries})"
@@ -267,37 +259,40 @@ class LinkAndPersist(FlushOptimizer):
     supports_pointer_tagging_structures = False
 
     def read(self, ctx: ThreadCtx, address: int) -> int:
-        value = ctx.load(address)
+        value = ctx.system.load(ctx, address)
         ctx.now += 1  # mask the mark bit out of every load
         return value & ~_LNP_BIT
 
     def write(self, ctx: ThreadCtx, address: int, value: int) -> None:
-        ctx.store(address, value | _LNP_BIT)
+        ctx.system.store(ctx, address, value | _LNP_BIT)
 
     def cas(self, ctx: ThreadCtx, address: int, expected: int, new: int) -> bool:
-        raw = ctx.load(address)
+        system = ctx.system
+        raw = system.load(ctx, address)
         ctx.now += 1
         if raw & ~_LNP_BIT != expected:
             ctx.now += 2
             return False
-        return ctx.cas(address, raw, new | _LNP_BIT)
+        return system.cas(ctx, address, raw, new | _LNP_BIT)
 
     def flush(self, ctx: ThreadCtx, address: int) -> None:
         # The data word was just read by the algorithm, so the mark test is
         # a register operation — the reason the paper finds L&P can beat
         # even Skip It on filter-dominated workloads (§7.4).
-        raw = ctx.system.arch.get(address, 0)
+        system = ctx.system
+        raw = system.arch.get(address, 0)
         ctx.now += 1
         if raw & _LNP_BIT:
-            ctx.flush(address)
-            ctx.cas(address, raw, raw & ~_LNP_BIT)
+            system.cbo(ctx, address, invalidate=True)
+            system.cas(ctx, address, raw, raw & ~_LNP_BIT)
 
     def clean(self, ctx: ThreadCtx, address: int) -> None:
-        raw = ctx.system.arch.get(address, 0)
+        system = ctx.system
+        raw = system.arch.get(address, 0)
         ctx.now += 1
         if raw & _LNP_BIT:
-            ctx.clean(address)
-            ctx.cas(address, raw, raw & ~_LNP_BIT)
+            system.cbo(ctx, address, invalidate=False)
+            system.cas(ctx, address, raw, raw & ~_LNP_BIT)
 
     def clean_range(self, ctx: ThreadCtx, address: int, length: int) -> None:
         # The mark lives in the data word, so the ranged filter is a
@@ -316,7 +311,7 @@ class LinkAndPersist(FlushOptimizer):
             ctx, {word - word % line_bytes for word, _ in marked}
         )
         for word, raw in marked:
-            ctx.cas(word, raw, raw & ~_LNP_BIT)
+            ctx.system.cas(ctx, word, raw, raw & ~_LNP_BIT)
 
     def declare_persisted(self, system) -> None:
         for store in (system.arch, system.persisted):

@@ -37,6 +37,10 @@ class PersistentBst(PersistentSet):
         self._leaf_l = self._alloc(3)
         self._leaf_r = self._alloc(3)
         self._initialized = False
+        # field offsets, precomputed for the traversal loop
+        self._key_at = KEY * field_stride
+        self._left_at = LEFT * field_stride
+        self._right_at = RIGHT * field_stride
 
     def initialize(self, view: PMemView) -> None:
         view.op_begin()
@@ -59,17 +63,17 @@ class PersistentBst(PersistentSet):
 
     def _seek(self, view: PMemView, key: int) -> Tuple[int, int, int, int]:
         """(grandparent, parent, leaf, leaf_key) for *key*."""
+        key_at, left_at = self._key_at, self._left_at
         gparent = 0
         parent = self._root.base
-        node = view.read(self._field(parent, LEFT))
-        while view.read(self._field(node, LEFT)):
+        node = view.read(parent + left_at)
+        while view.read(node + left_at):
             gparent = parent
             parent = node
-            node_key = view.read(self._field(node, KEY))
-            child = LEFT if key <= node_key else RIGHT
-            node = view.read(self._field(node, child))
-        leaf_key = view.read(self._field(node, KEY), critical=True)
-        view.read(self._field(parent, KEY), critical=True)
+            node_key = view.read(node + key_at)
+            node = view.read(node + (left_at if key <= node_key else self._right_at))
+        leaf_key = view.read(node + key_at, critical=True)
+        view.read(parent + key_at, critical=True)
         return gparent, parent, node, leaf_key
 
     def _child_slot(self, view: PMemView, parent: int, key: int) -> int:

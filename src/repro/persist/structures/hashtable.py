@@ -29,6 +29,9 @@ class PersistentHashTable(PersistentSet):
         self.line_bytes = heap.line_bytes
         self._heads_base = heap.alloc_region(num_buckets * heap.line_bytes)
         self._initialized = False
+        # field offsets, precomputed for the traversal loop
+        self._key_at = KEY * field_stride
+        self._next_at = NEXT * field_stride
 
     def initialize(self, view: PMemView) -> None:
         """Zero and persist every bucket head."""
@@ -51,18 +54,19 @@ class PersistentHashTable(PersistentSet):
 
     def _search(self, view: PMemView, key: int) -> Tuple[int, int, int]:
         """(prev_slot_address, curr_base, curr_key); prev is a pointer slot."""
+        key_at, next_at = self._key_at, self._next_at
         slot = self._head_of(key)
         curr = view.read(slot)
         curr_key = -1
         while curr:
-            curr_key = view.read(self._field(curr, KEY))
+            curr_key = view.read(curr + key_at)
             if curr_key >= key:
                 break
-            slot = self._field(curr, NEXT)
+            slot = curr + next_at
             curr = view.read(slot)
         view.read(slot, critical=True)
         if curr:
-            view.read(self._field(curr, KEY), critical=True)
+            view.read(curr + key_at, critical=True)
         return slot, curr, curr_key
 
     # ------------------------------------------------------------- set API

@@ -26,6 +26,9 @@ class PersistentLinkedList(PersistentSet):
         super().__init__(heap, field_stride)
         self._head = self._alloc(2)
         self._initialized = False
+        # field offsets, precomputed for the traversal loop
+        self._key_at = KEY * field_stride
+        self._next_at = NEXT * field_stride
 
     def initialize(self, view: PMemView) -> None:
         """Write and persist the sentinel before first use."""
@@ -42,19 +45,20 @@ class PersistentLinkedList(PersistentSet):
 
     def _search(self, view: PMemView, key: int) -> Tuple[int, int, int]:
         """Return (prev_base, curr_base, curr_key); curr may be 0 (tail)."""
+        key_at, next_at = self._key_at, self._next_at
         prev = self._head.base
-        curr = view.read(self._field(prev, NEXT))
+        curr = view.read(prev + next_at)
         curr_key = -1
         while curr:
-            curr_key = view.read(self._field(curr, KEY))
+            curr_key = view.read(curr + key_at)
             if curr_key >= key:
                 break
             prev = curr
-            curr = view.read(self._field(curr, NEXT))
+            curr = view.read(curr + next_at)
         # NVTraverse-style: persist the decision window
-        view.read(self._field(prev, NEXT), critical=True)
+        view.read(prev + next_at, critical=True)
         if curr:
-            view.read(self._field(curr, KEY), critical=True)
+            view.read(curr + key_at, critical=True)
         return prev, curr, curr_key
 
     # ------------------------------------------------------------- set API

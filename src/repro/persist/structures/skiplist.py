@@ -36,6 +36,9 @@ class PersistentSkipList(PersistentSet):
         super().__init__(heap, field_stride)
         self._head = self._alloc(NEXT0 + MAX_LEVEL)
         self._initialized = False
+        # field offsets, precomputed for the traversal loop
+        self._key_at = KEY * field_stride
+        self._next_at = [(NEXT0 + level) * field_stride for level in range(MAX_LEVEL)]
 
     def initialize(self, view: PMemView) -> None:
         view.op_begin()
@@ -56,20 +59,22 @@ class PersistentSkipList(PersistentSet):
         """Per-level predecessors/successors plus the bottom-level match."""
         preds: List[int] = [0] * MAX_LEVEL
         succs: List[int] = [0] * MAX_LEVEL
+        key_at = self._key_at
         pred = self._head.base
         for level in range(MAX_LEVEL - 1, -1, -1):
-            curr = view.read(self._field(pred, NEXT0 + level))
+            next_at = self._next_at[level]
+            curr = view.read(pred + next_at)
             while curr:
-                curr_key = view.read(self._field(curr, KEY))
+                curr_key = view.read(curr + key_at)
                 if curr_key >= key:
                     break
                 pred = curr
-                curr = view.read(self._field(curr, NEXT0 + level))
+                curr = view.read(curr + next_at)
             preds[level] = pred
             succs[level] = curr
         curr = succs[0]
-        curr_key = view.read(self._field(curr, KEY), critical=True) if curr else -1
-        view.read(self._field(preds[0], NEXT0), critical=True)
+        curr_key = view.read(curr + key_at, critical=True) if curr else -1
+        view.read(preds[0] + self._next_at[0], critical=True)
         return preds, succs, curr, curr_key
 
     # ------------------------------------------------------------- set API

@@ -23,7 +23,8 @@ class LineCache(Generic[R]):
     ``sets[address // line_bytes % num_sets]`` is the LRU-ordered map
     (oldest first) of the set holding *address*.  The timing model's
     per-access path indexes ``sets`` that way itself rather than paying a
-    method call per lookup.
+    method call per lookup; its L1 miss path also inserts into a set
+    directly and keeps ``_resident`` in step itself.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:

@@ -41,29 +41,42 @@ from repro.tilelink.permissions import Perm
 _NONE, _BRANCH, _TRUNK = Perm.NONE, Perm.BRANCH, Perm.TRUNK
 
 
-@dataclass
+# The cache and writeback records are slotted.  Each pickles as its
+# constructor call: the default state of a slotted object is a new dict per
+# instance, and the pickler's memo keeps every one alive until the dump
+# ends (benchmarks pickle whole prefilled systems).
+@dataclass(slots=True)
 class L1Rec:
     perm: Perm
     dirty: bool = False
     skip: bool = False
 
+    def __reduce__(self):
+        return L1Rec, (self.perm, self.dirty, self.skip)
 
-@dataclass
+
+@dataclass(slots=True)
 class L2Rec:
     dirty: bool = False
     directory: DirectoryEntry = field(default_factory=DirectoryEntry)
     values: Dict[int, int] = field(default_factory=dict)  # this copy's words
 
+    def __reduce__(self):
+        return L2Rec, (self.dirty, self.directory, self.values)
 
-@dataclass
+
+@dataclass(slots=True)
 class L3Rec:
     """Victim-L3 record (optional deeper hierarchy, §7.4)."""
 
     dirty: bool = False
     values: Dict[int, int] = field(default_factory=dict)
 
+    def __reduce__(self):
+        return L3Rec, (self.dirty, self.values)
 
-@dataclass
+
+@dataclass(slots=True)
 class InFlightWriteback:
     """One asynchronous DRAM write travelling to the persistence domain.
 
@@ -77,6 +90,9 @@ class InFlightWriteback:
     done: int  # completion time on the issuing thread's clock
     line: int
     values: Dict[int, int]  # words snapshotted at issue
+
+    def __reduce__(self):
+        return InFlightWriteback, (self.tid, self.done, self.line, self.values)
 
 
 class ThreadCtx:
@@ -143,8 +159,11 @@ class TimingSystem:
         #: the counters behind ``stats``, bumped in place on the access path
         self._counts = self.stats.counts
         self.obs = None  # observability bus; attached via repro.obs.attach_timing
-        #: DRAM writes still in flight; a crash drops the unfinished ones
+        #: DRAM writes still in flight, in arrival order; a crash drops the
+        #: unfinished ones
         self.in_flight: List[InFlightWriteback] = []
+        #: the same writes indexed by line, each list in arrival order
+        self._in_flight_of: Dict[int, List[InFlightWriteback]] = {}
         #: per-line DRAM writeback counts (differential fuzzing oracle)
         self.wb_lines: Dict[int, int] = {}
         #: test-only fault injection: names of re-introduced known bugs
@@ -159,36 +178,21 @@ class TimingSystem:
         return self._line_words.get(line, set())
 
     def _arch_line(self, line: int) -> Dict[int, int]:
-        return {w: self.arch[w] for w in self._words_of(line) if w in self.arch}
-
-    def _persisted_line(self, line: int) -> Dict[int, int]:
-        # a DRAM fetch is ordered after any pending write of the same line
-        # at the memory controller, so settle those first
-        self._settle_line(line)
-        return {
-            w: self.persisted[w] for w in self._words_of(line) if w in self.persisted
-        }
+        arch = self.arch
+        return {w: arch[w] for w in self._line_words.get(line, ()) if w in arch}
 
     # ------------------------------------------------- in-flight writebacks
     def _count_wb(self, line: int) -> None:
         self.wb_lines[line] = self.wb_lines.get(line, 0) + 1
 
-    def _record_wb(self, ctx: ThreadCtx, line: int, values: Dict[int, int],
-                   done: int) -> None:
-        """Track one asynchronous DRAM write; it lands when settled."""
-        self.in_flight.append(
-            InFlightWriteback(tid=ctx.tid, done=done, line=line, values=dict(values))
-        )
-        self._count_wb(line)
-
     def _settle_line(self, line: int) -> None:
-        remaining = []
-        for wb in self.in_flight:
-            if wb.line == line:
-                self.persisted.update(wb.values)
-            else:
-                remaining.append(wb)
-        self.in_flight = remaining
+        """Land every in-flight write of *line*, in arrival order."""
+        pending = self._in_flight_of.pop(line, None)
+        if pending is None:
+            return
+        for wb in pending:
+            self.persisted.update(wb.values)
+        self.in_flight = [wb for wb in self.in_flight if wb.line != line]
 
     def _settle_thread(self, tid: int) -> None:
         """Land every in-flight write of *tid* (the fence waited for them).
@@ -199,17 +203,35 @@ class TimingSystem:
         payload could land after a newer one and revert the persistence
         domain.
         """
+        in_flight = self.in_flight
         last: Dict[int, int] = {}
-        for i, wb in enumerate(self.in_flight):
+        for i, wb in enumerate(in_flight):
             if wb.tid == tid:
                 last[wb.line] = i
+        if not last:
+            return
         remaining = []
-        for i, wb in enumerate(self.in_flight):
+        for i, wb in enumerate(in_flight):
             if i <= last.get(wb.line, -1):
                 self.persisted.update(wb.values)
             else:
                 remaining.append(wb)
         self.in_flight = remaining
+        # the landed writes of each line are a prefix of its index entry,
+        # ending at the last one of *tid*
+        index = self._in_flight_of
+        if not remaining:
+            index.clear()
+            return
+        for line in last:
+            pending = index[line]
+            landed = len(pending)
+            while pending[landed - 1].tid != tid:
+                landed -= 1
+            if landed < len(pending):
+                index[line] = pending[landed:]
+            else:
+                del index[line]
 
     def _landing_schedule(self) -> List[Tuple[int, InFlightWriteback]]:
         """Each in-flight writeback paired with its effective completion time.
@@ -275,26 +297,6 @@ class TimingSystem:
             yield image
 
     # ------------------------------------------------------ L2 maintenance
-    def _l2_fetch(self, line: int) -> L2Rec:
-        """Install *line* in L2 (from the victim L3 if present, else memory),
-        inclusive-evicting on overflow."""
-        l3rec = self.l3.remove(line) if self.l3 is not None else None
-        if l3rec is not None:
-            rec = L2Rec(dirty=l3rec.dirty, values=dict(l3rec.values))
-            self._counts["l3_hits"] += 1
-        else:
-            rec = L2Rec(dirty=False, values=self._persisted_line(line))
-        evicted = self.l2.put(line, rec)
-        if evicted is not None:
-            self._l2_evict(*evicted)
-        return rec
-
-    def _fill_cost(self, line: int) -> int:
-        """Latency of an L2 miss: L3 hit beats the DRAM round trip."""
-        if self.l3 is not None and line in self.l3:
-            return self.params.l3_hit
-        return self.params.mem_access
-
     def _l2_evict(self, line: int, rec: L2Rec) -> None:
         """Inclusive eviction: revoke L1 copies, write back if dirty."""
         for tid in list(rec.directory.sharers):
@@ -362,49 +364,90 @@ class TimingSystem:
     def _fill(
         self, ctx: ThreadCtx, line: int, want_write: bool
     ) -> "tuple[int, L1Rec]":
-        """L1 miss path; returns the access cost and the new L1 record."""
+        """L1 miss path; returns the access cost and the new L1 record.
+
+        Spelled out inline like the hit paths below: the L2 lookup or
+        fetch, the probes (only when the directory names a holder), the
+        L1 insert and its eviction.
+        """
+        params = self.params
+        counts = self._counts
         l2 = self.l2
         bucket = l2.sets[line // l2.line_bytes % l2.num_sets]
         rec = bucket.get(line)
         if rec is None:
-            cost = self._fill_cost(line)
-            rec = self._l2_fetch(line)
-            self._counts["mem_fills"] += 1
+            # install the line in L2 from the victim L3 if present, else
+            # from memory, inclusive-evicting on overflow
+            l3rec = self.l3.remove(line) if self.l3 is not None else None
+            if l3rec is not None:
+                cost = params.l3_hit
+                rec = L2Rec(dirty=l3rec.dirty, values=dict(l3rec.values))
+                counts["l3_hits"] += 1
+            else:
+                cost = params.mem_access
+                # a DRAM fetch is ordered after any pending write of the
+                # same line at the memory controller, so settle those first
+                if line in self._in_flight_of:
+                    self._settle_line(line)
+                persisted = self.persisted
+                rec = L2Rec(
+                    values={
+                        w: persisted[w]
+                        for w in self._line_words.get(line, ())
+                        if w in persisted
+                    }
+                )
+            # a miss: the line is new to its L2 set, so it lands MRU
+            bucket[line] = rec
+            if len(bucket) > l2.ways:
+                self._l2_evict(*bucket.popitem(last=False))
+            else:
+                l2._resident += 1
+            counts["mem_fills"] += 1
         else:
-            cost = self.params.l2_hit
+            cost = params.l2_hit
             bucket.move_to_end(line)
-            self._counts["l2_hits"] += 1
+            counts["l2_hits"] += 1
+        directory = rec.directory
         if want_write:
-            if self._merge_owner_dirty(line, rec, keep_owner=False):
-                cost += self.params.probe_extra
-            self._revoke_sharers(line, rec, keep=ctx.tid)
+            if directory.owner is not None and self._merge_owner_dirty(
+                line, rec, keep_owner=False
+            ):
+                cost += params.probe_extra
+            if directory.sharers:
+                self._revoke_sharers(line, rec, keep=ctx.tid)
             perm = _TRUNK
         else:
-            if self._merge_owner_dirty(line, rec, keep_owner=True):
-                cost += self.params.probe_extra
-            perm = _TRUNK if rec.directory.idle else _BRANCH
+            if directory.owner is not None and self._merge_owner_dirty(
+                line, rec, keep_owner=True
+            ):
+                cost += params.probe_extra
+            perm = _BRANCH if directory.sharers else _TRUNK
         # GrantData vs GrantDataDirty decides the skip bit (§6.1)
-        skip = self.params.skip_it and (
+        skip = params.skip_it and (
             not rec.dirty or "skip_dirty_grant" in self.mutants
         )
         l1rec = L1Rec(perm=perm, dirty=want_write, skip=skip and not want_write)
-        evicted = self.l1s[ctx.tid].put(line, l1rec)
-        if evicted is not None:
-            self._l1_evict(ctx.tid, *evicted)
+        # a miss: the line is new to its L1 set, so it lands MRU
+        tid = ctx.tid
+        l1 = self.l1s[tid]
+        l1_bucket = l1.sets[line // l1.line_bytes % l1.num_sets]
+        l1_bucket[line] = l1rec
+        if len(l1_bucket) > l1.ways:
+            victim, victim_rec = l1_bucket.popitem(last=False)
+            victim_l2 = l2.sets[victim // l2.line_bytes % l2.num_sets].get(victim)
+            if victim_l2 is None:  # pragma: no cover - inclusivity guarantees presence
+                raise RuntimeError("L1 line absent from inclusive L2")
+            if victim_rec.dirty:
+                victim_l2.values.update(self._arch_line(victim))
+                victim_l2.dirty = True
+                counts["l1_evict_writebacks"] += 1
+            victim_l2.directory.downgrade(tid, _NONE)
             cost += 5
-        rec.directory.grant(ctx.tid, perm)
+        else:
+            l1._resident += 1
+        directory.grant(tid, perm)
         return cost, l1rec
-
-    def _l1_evict(self, tid: int, line: int, l1rec: L1Rec) -> None:
-        l2 = self.l2
-        rec = l2.sets[line // l2.line_bytes % l2.num_sets].get(line)
-        if rec is None:  # pragma: no cover - inclusivity guarantees presence
-            raise RuntimeError("L1 line absent from inclusive L2")
-        if l1rec.dirty:
-            rec.values.update(self._arch_line(line))
-            rec.dirty = True
-            self._counts["l1_evict_writebacks"] += 1
-        rec.directory.downgrade(tid, _NONE)
 
     # The L1-hit paths of load() and store() are spelled out inline (one
     # set lookup, the LRU bump, the clock and the counters): they run once
@@ -513,7 +556,14 @@ class TimingSystem:
                 invalidate=invalidate,
             )
         latency, payload = self._cbo_line(ctx, line, l1rec, invalidate)
-        completion = self._issue_async(ctx, latency)
+        # the writeback runs asynchronously in one of the thread's FSHRs;
+        # with all of them busy it starts when the oldest one completes
+        start = ctx.now
+        outstanding = ctx.outstanding
+        if len(outstanding) >= self.params.num_fshrs:
+            start = max(start, outstanding.popleft())
+        completion = start + latency
+        outstanding.append(completion)
         self._record_or_adopt(ctx, line, payload, completion)
 
     def _cbo_line(
@@ -605,24 +655,36 @@ class TimingSystem:
         completion: int,
     ) -> None:
         if payload:
-            self._record_wb(ctx, line, payload, done=completion)
-        else:
-            # The line is clean in the hierarchy, but an earlier CBO's
-            # DRAM write for it may still sit in the controller queue.
-            # Same-address ordering puts this CBO's completion behind
-            # those writes, so the fence that waits for *this* CBO also
-            # covers them: adopt their payload under our completion.
-            # Not a new DRAM write — wb_lines is deliberately untouched.
-            merged: Dict[int, int] = {}
-            for wb in self.in_flight:
-                if wb.line == line:
-                    merged.update(wb.values)
-            if merged:
-                self.in_flight.append(
-                    InFlightWriteback(
-                        tid=ctx.tid, done=completion, line=line, values=merged
-                    )
-                )
+            # a new DRAM write: track it until it lands, count it
+            wb = InFlightWriteback(
+                tid=ctx.tid, done=completion, line=line, values=dict(payload)
+            )
+            pending = self._in_flight_of.get(line)
+            if pending is None:
+                self._in_flight_of[line] = [wb]
+            else:
+                pending.append(wb)
+            self.in_flight.append(wb)
+            self.wb_lines[line] = self.wb_lines.get(line, 0) + 1
+            return
+        # The line is clean in the hierarchy, but an earlier CBO's DRAM
+        # write for it may still sit in the controller queue.  Same-address
+        # ordering puts this CBO's completion behind those writes, so the
+        # fence that waits for *this* CBO also covers them: adopt their
+        # payload under our completion.  Not a new DRAM write — wb_lines is
+        # deliberately untouched.
+        pending = self._in_flight_of.get(line)
+        if pending is None:
+            return
+        merged: Dict[int, int] = {}
+        for wb in pending:
+            merged.update(wb.values)
+        if merged:
+            wb = InFlightWriteback(
+                tid=ctx.tid, done=completion, line=line, values=merged
+            )
+            pending.append(wb)
+            self.in_flight.append(wb)
 
     def cbo_range(
         self,
@@ -747,18 +809,6 @@ class TimingSystem:
             return {}  # marked clean, payload dropped (test-only bug)
         return dict(rec.values)
 
-    def _issue_async(self, ctx: ThreadCtx, latency: int) -> int:
-        """Track an asynchronous writeback, bounded by the FSHR count.
-
-        Returns the completion time on the thread's virtual clock.
-        """
-        start = ctx.now
-        if len(ctx.outstanding) >= self.params.num_fshrs:
-            start = max(start, ctx.outstanding.popleft())
-        done = start + latency
-        ctx.outstanding.append(done)
-        return done
-
     def fence(self, ctx: ThreadCtx) -> None:
         """FENCE: wait for every outstanding writeback of this thread (§5.3)."""
         waited = 0
@@ -791,7 +841,9 @@ class TimingSystem:
         each configuration starts from the same warm, persisted state
         instead of measuring the prefill's writeback transient.
         """
-        self.in_flight.clear()  # superseded: everything lands right now
+        # superseded: everything lands right now
+        self.in_flight.clear()
+        self._in_flight_of.clear()
         self.persisted.update(self.arch)
         for _, rec in self.l2.items():
             rec.values.update(
@@ -824,6 +876,7 @@ class TimingSystem:
         for values in self._landed(at):
             self.persisted.update(values)
         self.in_flight = []
+        self._in_flight_of = {}
         p = self.params
         self.l1s = [LineCache(p.l1) for _ in range(p.num_threads)]
         self.l2 = LineCache(p.l2)

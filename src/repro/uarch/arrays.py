@@ -22,8 +22,8 @@ return light-weight :class:`MetaView` proxies (aliased ``MetaEntry``)
 whose attribute reads/writes go straight to the packed arrays, so
 callers that mutate ``entry.dirty`` or call ``entry.invalidate()``
 keep working.  The original object-per-line implementation is retained
-in :mod:`repro.uarch.arrays_ref` and pinned against this one by
-randomized differential tests.
+as a test-only reference (``tests/arrays_ref.py``) and pinned against
+this one by randomized differential tests.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 This is the original, straightforward implementation of
 :mod:`repro.uarch.arrays` kept verbatim as an executable specification:
 the packed flat-array rewrite is pinned against it by randomized
-differential tests (``tests/test_arrays_packed.py``).  It is not used
-by the simulator hot path.
+differential tests (``tests/test_arrays_packed.py``).  It lives with the
+tests because nothing else uses it.
 """
 
 from __future__ import annotations

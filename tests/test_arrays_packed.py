@@ -1,7 +1,7 @@
 """Packed-array equivalence suite.
 
 Pins the packed flat-array :mod:`repro.uarch.arrays` against the retained
-object-per-line reference (:mod:`repro.uarch.arrays_ref`) with randomized
+object-per-line reference (``tests/arrays_ref.py``) with randomized
 differential tests, covers the ``write_word``/``read_word`` bounds fix
 (the reference implementation silently *grew* the line on an
 out-of-range offset), and checks engine-level bit-identity of one quick
@@ -18,7 +18,7 @@ import pytest
 from repro.sim.config import CacheGeometry
 from repro.tilelink.permissions import Perm
 from repro.uarch.arrays import DataArray, MetaArray
-from repro.uarch.arrays_ref import RefDataArray, RefMetaArray
+from tests.arrays_ref import RefDataArray, RefMetaArray
 
 BASELINE = Path(__file__).resolve().parent.parent / "baselines" / "quick.json"
 

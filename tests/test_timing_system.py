@@ -250,3 +250,52 @@ class TestEvictionsAndCrash:
         assert system.persisted[0x40] == 1
         rec = system.l1s[0].get(0x40)
         assert not rec.dirty and rec.skip
+
+
+class TestPickle:
+    """Benchmarks pickle a prefilled system once and restart each run
+    from a copy; the slotted records must survive the round trip."""
+
+    @staticmethod
+    def _traffic(system, rounds):
+        for i in range(rounds):
+            for t in system.threads:
+                address = 0x1000 + 64 * ((i * 7 + t.tid * 3) % 40) + 8 * (i % 8)
+                t.store(address, i + 1)
+                t.load(address + 64 * 5)
+                if i % 3 == 0:
+                    t.clean(address)
+                elif i % 3 == 1:
+                    t.flush(address)
+                if i % 11 == 10:
+                    t.fence()
+
+    def test_warmed_system_round_trips(self):
+        import pickle
+
+        system = mk(
+            l1=CacheGeometry(size_bytes=512, ways=2),
+            l2=CacheGeometry(size_bytes=1024, ways=4),
+        )
+        self._traffic(system, 60)
+        assert system.in_flight  # writebacks still travelling
+        blob = pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL)
+        # records travel as constructor calls, not as one field-name dict
+        # per slotted instance
+        assert b"sharers" not in blob
+        l1rec = next(rec for _, rec in system.l1s[0].items())
+        assert b"dirty" not in pickle.dumps(l1rec)
+        copy = pickle.loads(blob)
+        # the line index shares its records with the arrival list
+        ids = {id(wb) for wb in copy.in_flight}
+        assert {id(wb) for wbs in copy._in_flight_of.values() for wb in wbs} == ids
+        for line, rec in system.l1s[0].items():
+            assert copy.l1s[0].get(line) == rec
+            assert copy.l1s[0].get(line).perm is rec.perm
+        for run in (system, copy):
+            self._traffic(run, 40)
+        assert copy.stats.as_dict() == system.stats.as_dict()
+        assert [t.now for t in copy.threads] == [t.now for t in system.threads]
+        assert copy.arch == system.arch
+        assert copy.persisted_image() == system.persisted_image()
+        assert copy.wb_lines == system.wb_lines
